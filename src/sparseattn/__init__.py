@@ -15,7 +15,6 @@ from .blocks import (
     bench_masked_attention,
     chunk_labels,
     chunk_means,
-    chunk_project,
     csr_from_graph,
     dense_score_flops,
     expand_blocks,
@@ -51,7 +50,7 @@ from .graph import (
     sparsity,
     write_graph,
 )
-from .kmeans import Centroids, KMeansConfig, cluster_assign_topk, kmeans_fit, load_centroids, save_centroids
+from .kmeans import Centroids, KMeansConfig, kmeans_fit, load_centroids, save_centroids
 from .predictors import (
     BucketAssignment,
     PatternConfig,
@@ -62,12 +61,10 @@ from .predictors import (
     cluster_qk,
     combine_with_patterns,
     distance_pairing,
-    load_bins,
     lsh_assign,
     quantize_assign,
     quantize_qk,
     routing_assign,
-    save_bins,
     window_global_graph,
 )
 from .projection import (

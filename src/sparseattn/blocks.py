@@ -28,7 +28,7 @@ from .graph import (
 )
 from .kmeans import Centroids, KMeansConfig, assign_topk_membership, kmeans_fit
 from .predictors import BucketAssignment, PatternConfig, buckets_to_graph, window_global_graph
-from .projection import ProjectionHead, TrainConfig, build_pair_dataset, project_rows, train_projection
+from .projection import TrainConfig, build_pair_dataset, project_rows, train_projection
 
 BENCH_CSV_COLUMNS = [
     "variant", "n", "d", "z", "top_k", "window",
@@ -94,18 +94,11 @@ def chunk_labels(gold: AttentionGraph, z: int) -> ChunkedGraph:
     return ChunkedGraph(z, blocks)
 
 
-def chunk_project(X, z: int, head: ProjectionHead, pool: str = "mean") -> np.ndarray:
-    """Mean-pool each contiguous block of z token vectors, then project.
-
-    A short final block is averaged over its actual tokens only.
-    """
-    if pool != "mean":
-        raise ValueError(f"unsupported pooling {pool!r}")
-    pooled = chunk_means(X, z)
-    return project_rows(head, pooled)
-
-
 def chunk_means(X, z: int) -> np.ndarray:
+    """Mean of each contiguous block of z rows.
+
+    A short final block is averaged over its actual rows only.
+    """
     X = np.asarray(X, dtype=np.float64)
     if z < 1:
         raise ValueError("block size z must be >= 1")
@@ -191,7 +184,7 @@ def csr_from_graph(g: AttentionGraph):
 
 
 def sparse_attention_probs(sm: ScoreMatrix, g: AttentionGraph) -> np.ndarray:
-    """Dense (n, m) probabilities from the block-sparse evaluation path.
+    """Dense (n, m) 1.5-entmax probabilities from the block-sparse evaluation path.
 
     Scores are computed only on the graph's cells; rows without edges stay
     all-zero.
@@ -251,7 +244,7 @@ def bench_masked_attention(
     seed: int = 0,
     causal: bool = False,
 ) -> BenchRecord:
-    """Time dense entmax attention against block-sparse evaluation.
+    """Time dense 1.5-entmax attention against block-sparse evaluation.
 
     The instance is self-contained: a random (Q, K) pair, a chunk-level
     projection trained on the instance's own block labels, and for v2 a

@@ -21,7 +21,6 @@ from .entmax import EntmaxParams, audit_sparse_consistency
 from .errors import ConfigError, ContractViolation, DataError
 from .graph import extract_graph, read_graph, sparsity, write_graph
 from .kmeans import KMeansConfig, kmeans_fit, load_centroids, save_centroids
-from .predictors import bin_boundaries, save_bins
 from .projection import TrainConfig, build_pair_dataset, load_head, project_rows, save_head, train_projection
 from .sweep import (
     DEFAULT_GRIDS,
@@ -74,22 +73,31 @@ def _data_path(args, cfg, out):
     return _opt(args, cfg, "data", os.path.join(out, "data"))
 
 
-def _load_graphs(graphs_dir):
+def _load_meta(graphs_dir):
+    """The ``meta.json`` that 'extract' writes next to the gold graphs."""
     meta_path = os.path.join(graphs_dir, "meta.json")
     try:
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{meta_path}: graph metadata not found (run 'extract' first)") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{meta_path}: invalid JSON ({exc})") from None
+    except ValueError as exc:  # invalid JSON or a non-ASCII byte
+        raise DataError(f"{meta_path}: invalid JSON ({exc}) (run 'extract' first)") from None
+    if not isinstance(meta, dict) or not meta.get("graphs") or "gold_sparsity" not in meta:
+        raise DataError(f"{meta_path}: no graphs or gold_sparsity listed (run 'extract' first)")
+    return meta
+
+
+def _load_graphs(graphs_dir):
     graphs = {}
-    for entry in meta.get("graphs", []):
-        key = (int(entry["layer"]), int(entry["head"]), int(entry["instance"]))
-        graphs[key] = read_graph(os.path.join(graphs_dir, entry["path"]))
-    if not graphs:
-        raise DataError(f"{meta_path}: no graphs listed")
-    return meta, graphs
+    for entry in _load_meta(graphs_dir)["graphs"]:
+        try:
+            key = (int(entry["layer"]), int(entry["head"]), int(entry["instance"]))
+            path = os.path.join(graphs_dir, entry["path"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{os.path.join(graphs_dir, 'meta.json')}: malformed graph entry ({exc!r})") from None
+        graphs[key] = read_graph(path)
+    return graphs
 
 
 def cmd_gen(args) -> int:
@@ -150,7 +158,7 @@ def _instances_by_head(mats):
 def cmd_train_proj(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
     mats = load_qk(_data_path(args, cfg, out))
-    _, graphs = _load_graphs(_opt(args, cfg, "graphs", os.path.join(out, "graphs")))
+    graphs = _load_graphs(_opt(args, cfg, "graphs", os.path.join(out, "graphs")))
     proj_dir = _opt(args, cfg, "proj", os.path.join(out, "proj"))
     os.makedirs(proj_dir, exist_ok=True)
     train_cfg = TrainConfig(
@@ -228,24 +236,6 @@ def cmd_fit_kmeans(args) -> int:
     return 0
 
 
-def cmd_fit_bins(args) -> int:
-    cfg, seed, alpha, causal, out = _common(args)
-    mats = load_qk(_data_path(args, cfg, out))
-    heads = _load_proj_dir(_opt(args, cfg, "proj", os.path.join(out, "proj")))
-    bins_dir = _opt(args, cfg, "bins", os.path.join(out, "bins"))
-    os.makedirs(bins_dir, exist_ok=True)
-    beta_list = [int(b) for b in cfg.get("beta_list", DEFAULT_GRIDS["quantization"]["beta"])]
-    for (layer, head_idx), group in sorted(_instances_by_head(mats).items()):
-        if (layer, head_idx) not in heads:
-            raise ConfigError(f"no projection for layer {layer} head {head_idx}")
-        pooled = _pooled_projected(group, heads[(layer, head_idx)])
-        for beta in beta_list:
-            cuts = bin_boundaries(pooled, beta)
-            save_bins(cuts, os.path.join(bins_dir, f"b_l{layer}_h{head_idx}_beta{beta}.txt"))
-        print(f"fit-bins: layer {layer} head {head_idx}: beta in {beta_list}")
-    return 0
-
-
 def _load_kmeans_dir(km_dir):
     centroids = {}
     if not os.path.isdir(km_dir):
@@ -261,7 +251,7 @@ def _load_kmeans_dir(km_dir):
 def cmd_sweep(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
     mats = load_qk(_data_path(args, cfg, out))
-    meta, _ = _load_graphs(_opt(args, cfg, "graphs", os.path.join(out, "graphs")))
+    meta = _load_meta(_opt(args, cfg, "graphs", os.path.join(out, "graphs")))
     artifacts = SweepArtifacts(
         heads=_load_proj_dir(_opt(args, cfg, "proj", os.path.join(out, "proj"))),
         centroids=_load_kmeans_dir(_opt(args, cfg, "kmeans", os.path.join(out, "kmeans"))),
@@ -302,6 +292,8 @@ def cmd_pareto(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
+    if alpha != 1.5:
+        raise ConfigError(f"bench times 1.5-entmax only, got --alpha {alpha}")
     n = int(cfg.get("bench_n", 256))
     d = int(cfg.get("bench_d", 64))
     z_list = [int(z) for z in cfg.get("z_list", [8, 16])]
@@ -376,12 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmeans", default=None, help="centroid output directory")
     p.set_defaults(func=cmd_fit_kmeans)
 
-    p = sub.add_parser("fit-bins", parents=[common], help="fit quantization boundaries per head")
-    p.add_argument("--data", default=None)
-    p.add_argument("--proj", default=None)
-    p.add_argument("--bins", default=None, help="bin-boundary output directory")
-    p.set_defaults(func=cmd_fit_bins)
-
     p = sub.add_parser("sweep", parents=[common], help="run the hyperparameter sweep")
     p.add_argument("--data", default=None)
     p.add_argument("--graphs", default=None)
@@ -394,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", default=None, help="path to sweep.csv")
     p.set_defaults(func=cmd_pareto)
 
-    p = sub.add_parser("bench", parents=[common], help="block-attention micro-benchmark")
+    p = sub.add_parser("bench", parents=[common], help="block-attention micro-benchmark (alpha 1.5 only)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", parents=[common], help="sparse-consistency audit")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import read_rows, write_rows
 from .errors import ConfigError, DataError
 from .graph import ScoreMatrix
 
@@ -90,37 +91,13 @@ def write_tensor(arr, path):
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("tensor files hold 2-D matrices")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"TENSOR {arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    write_rows(path, ("TENSOR",) + arr.shape, arr)
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}:1: empty tensor file")
-    parts = lines[0].split()
-    if len(parts) != 3 or parts[0] != "TENSOR":
-        raise DataError(f"{path}:1: expected header 'TENSOR n d'")
-    try:
-        n, d = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise DataError(f"{path}:1: non-integer header field") from None
+    (n, d), out = read_rows(path, ("n", "d"), lambda n, d: (n, d), keyword="TENSOR")
     if n < 1 or d < 1:
         raise DataError(f"{path}:1: sizes must be positive")
-    if len(lines) - 1 != n:
-        raise DataError(f"{path}: header promises {n} rows, found {len(lines) - 1}")
-    out = np.empty((n, d))
-    for lineno, line in enumerate(lines[1:], start=2):
-        vals = line.split()
-        if len(vals) != d:
-            raise DataError(f"{path}:{lineno}: expected {d} values, found {len(vals)}")
-        try:
-            out[lineno - 2] = [float(v) for v in vals]
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric value") from None
     if not np.all(np.isfinite(out)):
         bad = int(np.argwhere(~np.isfinite(out))[0][0]) + 2
         raise DataError(f"{path}:{bad}: non-finite value")
@@ -162,7 +139,7 @@ def load_qk(path):
             manifest = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{path}: manifest not found") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or a non-ASCII byte
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(manifest, dict) or "matrices" not in manifest:
         raise DataError(f"{path}: manifest must contain a 'matrices' list")

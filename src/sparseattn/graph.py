@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._textio import read_rows, write_rows
 from .entmax import DEFAULT_PARAMS, SUPPORT_TOL, EntmaxParams, masked_entmax
 from .errors import DataError
 
@@ -221,38 +222,20 @@ def graph_union(a: AttentionGraph, b: AttentionGraph) -> AttentionGraph:
 
 def write_graph(g: AttentionGraph, path):
     """Graph file: header ``n m causal edge_count`` then one ``i j`` per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{g.n} {g.m} {int(g.causal)} {g.edge_count}\n")
-        for i, j in g.edges:
-            fh.write(f"{i} {j}\n")
+    write_rows(path, (g.n, g.m, int(g.causal), g.edge_count), g.edges, fmt="%d")
 
 
 def read_graph(path) -> AttentionGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}:1: empty graph file")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise DataError(f"{path}:1: expected header 'n m causal edge_count'")
-    try:
-        n, m, causal, count = (int(x) for x in head)
-    except ValueError:
-        raise DataError(f"{path}:1: non-integer header field") from None
+    (n, m, causal, count), edges = read_rows(
+        path, ("n", "m", "causal", "edge_count"), lambda n, m, causal, count: (count, 2),
+        dtype=np.int64,
+    )
     if causal not in (0, 1):
         raise DataError(f"{path}:1: causal flag must be 0 or 1")
-    if len(lines) - 1 != count:
-        raise DataError(f"{path}: header promises {count} edges, found {len(lines) - 1}")
-    edges = np.empty((count, 2), dtype=np.int64)
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'i j'")
-        try:
-            edges[lineno - 2] = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer edge index") from None
     try:
-        return AttentionGraph(n, m, edges, causal=bool(causal))
+        g = AttentionGraph(n, m, edges, causal=bool(causal))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    if g.edge_count != count:
+        raise DataError(f"{path}: {count - g.edge_count} duplicate edges")
+    return g

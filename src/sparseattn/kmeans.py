@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._textio import read_rows, write_rows
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -29,8 +31,8 @@ class Centroids:
 
     def __post_init__(self):
         C = np.array(self.C, dtype=np.float64)
-        if C.ndim != 2 or C.shape[0] < 1:
-            raise ValueError("centroids must form a (B, r) matrix with B >= 1")
+        if C.ndim != 2 or min(C.shape) < 1:
+            raise ValueError("centroids must form a (B, r) matrix with B, r >= 1")
         if not np.all(np.isfinite(C)):
             raise ValueError("centroids must be finite")
         C.setflags(write=False)
@@ -114,23 +116,11 @@ def kmeans_fit(X, B: int, cfg: KMeansConfig = KMeansConfig()) -> Centroids:
     return Centroids(best)
 
 
-def cluster_assign_topk(x, centroids: Centroids, k: int):
-    """The k closest centroids to x, as a sorted tuple of 1-based bucket ids.
+def assign_topk_membership(X, centroids: Centroids, k: int) -> np.ndarray:
+    """Boolean (N, B) membership matrix of each row's k closest centroids.
 
     Ties in distance go to the lower centroid index.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (centroids.r,):
-        raise ValueError(f"expected an r={centroids.r} vector, got shape {x.shape}")
-    if not 1 <= k <= centroids.B:
-        raise ValueError(f"k must be in [1, {centroids.B}], got {k}")
-    d = _kernels.pairwise_sqdist(x[None, :], centroids.C).ravel()
-    order = np.argsort(d, kind="stable")  # stable sort -> lower index wins ties
-    return tuple(sorted(int(b) + 1 for b in order[:k]))
-
-
-def assign_topk_membership(X, centroids: Centroids, k: int) -> np.ndarray:
-    """Boolean (N, B) membership matrix of each row's k closest centroids."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if not 1 <= k <= centroids.B:
         raise ValueError(f"k must be in [1, {centroids.B}], got {k}")
@@ -144,35 +134,12 @@ def assign_topk_membership(X, centroids: Centroids, k: int) -> np.ndarray:
 
 def save_centroids(c: Centroids, path):
     """Centroid checkpoint: header ``B r`` then B rows of r floats."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{c.B} {c.r}\n")
-        for row in c.C:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    write_rows(path, (c.B, c.r), c.C)
 
 
 def load_centroids(path) -> Centroids:
-    from .errors import DataError
-
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}:1: empty centroid file")
-    parts = lines[0].split()
-    if len(parts) != 2:
-        raise DataError(f"{path}:1: expected header 'B r'")
+    _, C = read_rows(path, ("B", "r"), lambda B, r: (B, r))
     try:
-        B, r = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise DataError(f"{path}:1: non-integer header field") from None
-    if len(lines) - 1 != B:
-        raise DataError(f"{path}: header promises {B} rows, found {len(lines) - 1}")
-    C = np.empty((B, r))
-    for lineno, line in enumerate(lines[1:], start=2):
-        vals = line.split()
-        if len(vals) != r:
-            raise DataError(f"{path}:{lineno}: expected {r} floats")
-        try:
-            C[lineno - 2] = [float(v) for v in vals]
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric value") from None
-    return Centroids(C)
+        return Centroids(C)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

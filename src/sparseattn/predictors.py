@@ -269,42 +269,3 @@ def combine_with_patterns(learned: AttentionGraph, pc: PatternConfig) -> Attenti
     if pc.causal != learned.causal:
         raise ValueError("pattern causal flag does not match the graph")
     return graph_union(learned, window_global_graph(learned.n, learned.m, pc))
-
-
-def save_bins(cuts, path):
-    """Bin-boundary file: header ``r beta`` then r rows of beta-1 cut values."""
-    cuts = np.asarray(cuts, dtype=np.float64)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{cuts.shape[0]} {cuts.shape[1] + 1}\n")
-        for row in cuts:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_bins(path) -> np.ndarray:
-    from .errors import DataError
-
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}:1: empty bin file")
-    parts = lines[0].split()
-    if len(parts) != 2:
-        raise DataError(f"{path}:1: expected header 'r beta'")
-    try:
-        r, beta = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise DataError(f"{path}:1: non-integer header field") from None
-    if len(lines) - 1 != r:
-        raise DataError(f"{path}: header promises {r} rows, found {len(lines) - 1}")
-    cuts = np.empty((r, beta - 1))
-    for lineno, line in enumerate(lines[1:], start=2):
-        vals = line.split()
-        if len(vals) != beta - 1:
-            raise DataError(f"{path}:{lineno}: expected {beta - 1} cut values")
-        try:
-            cuts[lineno - 2] = [float(v) for v in vals]
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric value") from None
-        if np.any(np.diff(cuts[lineno - 2]) < 0):
-            raise DataError(f"{path}:{lineno}: cut values must be ascending")
-    return cuts

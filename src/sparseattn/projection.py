@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import read_rows, write_rows
+from .errors import DataError
 from .graph import AttentionGraph, ScoreMatrix
 
 
@@ -29,8 +31,8 @@ class ProjectionHead:
     def __post_init__(self):
         W = _frozen(self.W)
         b = _frozen(self.b)
-        if W.ndim != 2:
-            raise ValueError("W must be an (r, d) matrix")
+        if W.ndim != 2 or W.shape[0] < 1:
+            raise ValueError("W must be an (r, d) matrix with r >= 1")
         if b.shape != (W.shape[0],):
             raise ValueError("b must be an r-vector")
         if W.shape[0] >= W.shape[1]:
@@ -290,41 +292,12 @@ def train_projection(
 
 def save_head(head: ProjectionHead, path):
     """Checkpoint: header ``d r`` then r lines of d weights plus the bias."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{head.d} {head.r}\n")
-        for row, bias in zip(head.W, head.b):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + f" {bias:.17g}\n")
+    write_rows(path, (head.d, head.r), np.column_stack([head.W, head.b]))
 
 
 def load_head(path) -> ProjectionHead:
-    from .errors import DataError
-
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}:1: empty checkpoint")
-    head_parts = lines[0].split()
-    if len(head_parts) != 2:
-        raise DataError(f"{path}:1: expected header 'd r'")
+    (d, _), rows = read_rows(path, ("d", "r"), lambda d, r: (r, d + 1))
     try:
-        d, r = int(head_parts[0]), int(head_parts[1])
-    except ValueError:
-        raise DataError(f"{path}:1: non-integer header field") from None
-    if len(lines) - 1 != r:
-        raise DataError(f"{path}: header promises {r} rows, found {len(lines) - 1}")
-    W = np.empty((r, d))
-    b = np.empty(r)
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != d + 1:
-            raise DataError(f"{path}:{lineno}: expected {d + 1} floats")
-        try:
-            vals = [float(x) for x in parts]
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric value") from None
-        W[lineno - 2] = vals[:d]
-        b[lineno - 2] = vals[d]
-    try:
-        return ProjectionHead(W, b)
+        return ProjectionHead(rows[:, :d], rows[:, d])
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -12,7 +12,6 @@ from sparseattn import (
     bench_masked_attention,
     chunk_labels,
     chunk_means,
-    chunk_project,
     csr_from_graph,
     dense_score_flops,
     expand_blocks,
@@ -74,6 +73,8 @@ class TestChunkLabels:
 
 
 class TestChunkProject:
+    """Block projection as ``bench`` does it: ``chunk_means`` then ``project_rows``."""
+
     def _head(self, d=6, r=2, seed=1):
         rng = np.random.default_rng(seed)
         return ProjectionHead(rng.normal(size=(r, d)), rng.normal(size=r))
@@ -82,26 +83,30 @@ class TestChunkProject:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(5, 6))
         head = self._head()
-        np.testing.assert_allclose(chunk_project(X, 1, head), project_rows(head, X), atol=0)
+        np.testing.assert_array_equal(chunk_means(X, 1), X)
+        np.testing.assert_allclose(
+            project_rows(head, chunk_means(X, 1)), project_rows(head, X), atol=0
+        )
 
     def test_identical_tokens(self):
         head = self._head()
         X = np.tile([[1.0, -2.0, 0.5, 3.0, 0.0, 1.0]], (4, 1))
-        out = chunk_project(X, 4, head)
+        out = project_rows(head, chunk_means(X, 4))
         np.testing.assert_allclose(out[0], project_rows(head, X[:1])[0], atol=1e-12)
 
     def test_matches_mean_then_project_oracle(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(7, 6))  # short final block of 3
         head = self._head()
-        got = chunk_project(X, 2, head)
+        got = project_rows(head, chunk_means(X, 2))
+        assert got.shape == (4, 2)
         for b, lo in enumerate(range(0, 7, 2)):
             mean = X[lo : lo + 2].mean(axis=0)
             np.testing.assert_allclose(got[b], head.W @ mean + head.b, atol=1e-12)
 
-    def test_unknown_pool(self):
+    def test_bad_z(self):
         with pytest.raises(ValueError):
-            chunk_project(np.zeros((4, 6)), 2, self._head(), pool="max")
+            chunk_means(np.zeros((4, 6)), 0)
 
 
 class TestSelectBlocks:

@@ -15,7 +15,6 @@ def exp(tmp_path):
         "cluster_std": 0.15, "center_scale": 1.2,
         "min_len": 1,
         "B_list": [2, 4],
-        "beta_list": [1, 2],
         "methods": ["window", "distance", "clustering"],
         "grids": {
             "distance": {"t": [1.0, 3.0]},
@@ -40,10 +39,8 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "proj", "head_l0_h0.txt"))
         assert os.path.exists(os.path.join(out, "kmeans", "c_l0_h0_B2.txt"))
 
-    def test_fit_bins_and_sweep_and_pareto(self, exp):
+    def test_sweep_and_pareto(self, exp):
         _, _, out, base = exp
-        assert cli.main(["fit-bins"] + base) == 0
-        assert os.path.exists(os.path.join(out, "bins", "b_l0_h0_beta2.txt"))
         assert cli.main(["sweep"] + base) == 0
         for name in ("sweep.csv", "pareto.csv", "summary.json"):
             assert os.path.exists(os.path.join(out, name))
@@ -79,6 +76,27 @@ class TestPipeline:
                 "--workers", "2"]
         assert cli.main(args) == 0
         assert open(os.path.join(out2, "sweep.csv"), "rb").read() == first
+
+    def test_sweep_reads_only_graph_metadata(self, exp):
+        # the gold graphs are re-extracted from Q/K; only meta.json is read
+        _, _, out, base = exp
+        assert cli.main(["sweep"] + base) == 0
+        first = open(os.path.join(out, "sweep.csv"), "rb").read()
+        graphs_dir = os.path.join(out, "graphs")
+        for name in os.listdir(graphs_dir):
+            if name != "meta.json":
+                os.remove(os.path.join(graphs_dir, name))
+        assert cli.main(["sweep"] + base) == 0
+        assert open(os.path.join(out, "sweep.csv"), "rb").read() == first
+        meta_path = os.path.join(graphs_dir, "meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        del meta["gold_sparsity"]
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        assert cli.main(["sweep"] + base) == 3
+        os.remove(meta_path)
+        assert cli.main(["sweep"] + base) == 3
 
     def test_bench_and_verify(self, exp, tmp_path):
         _, _, out, base = exp
@@ -117,6 +135,31 @@ class TestExitCodes:
         with open(victim, "w") as fh:
             fh.write("\n".join(lines[:-1]) + "\n")
         assert cli.main(["extract"] + base) == 3
+
+    def test_corrupt_centroid_file_is_data_error(self, exp):
+        _, _, out, base = exp
+        with open(os.path.join(out, "kmeans", "c_l0_h0_B2.txt"), "a") as fh:
+            fh.write("1 2\n")  # one row more than the header promises
+        assert cli.main(["sweep"] + base) == 3
+
+    def test_malformed_graph_metadata_is_data_error(self, exp):
+        _, _, out, base = exp
+        meta_path = os.path.join(out, "graphs", "meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        del meta["graphs"][0]["path"]
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        assert cli.main(["train-proj"] + base) == 3
+
+    def test_fit_bins_is_gone(self, exp):
+        _, _, _, base = exp
+        assert cli.main(["fit-bins"] + base) == 2
+
+    def test_bench_rejects_alpha_other_than_1_5(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["bench", "--alpha", "2", "--out", str(out)]) == 2
+        assert not (out / "bench.csv").exists()
 
     def test_sweep_without_artifacts_is_config_error(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -8,7 +8,10 @@ from sparseattn import (
     extract_graph,
     generate_instances,
     kmeans_fit,
+    load_centroids,
+    load_head,
     load_qk,
+    read_graph,
     read_tensor,
     save_qk,
     sparsity,
@@ -95,6 +98,11 @@ class TestTensorFormat:
         write_tensor(arr, path)
         assert np.array_equal(read_tensor(path), arr)
 
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "t.txt"
+        write_tensor([[0.1, -0.0], [1e300, 2.0]], path)
+        assert path.read_bytes() == b"TENSOR 2 2\n0.10000000000000001 -0\n1.0000000000000001e+300 2\n"
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "t.txt"
         write_tensor(np.ones((3, 2)), path)
@@ -122,6 +130,24 @@ class TestTensorFormat:
             path.write_text(text)
             with pytest.raises(DataError):
                 read_tensor(path)
+
+
+@pytest.mark.parametrize("reader, content", [
+    (read_tensor, b"TENSOR 1 2\n1 \xe9\n"),  # non-ASCII byte
+    (read_graph, b"2 2 0 1\n0 \xff\n"),  # non-ASCII byte
+    (load_head, b"-1 1\n\n"),  # negative size
+    (load_centroids, b"1 -2\n\n"),  # negative size
+    (load_head, b"4 0\n"),  # r = 0
+    (load_centroids, b"1 0\n\n"),  # r = 0
+    (load_centroids, b"1 2\n1 inf\n"),  # non-finite value
+    (read_graph, b"3 3 0 2\n0 1\n0 1\n"),  # an edge listed twice
+    (read_graph, b"3 3 0 1\n0 99999999999999999999\n"),  # index beyond int64
+])
+def test_reader_rejects_defect(tmp_path, reader, content):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    with pytest.raises(DataError):
+        reader(path)
 
 
 class TestManifest:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparseattn import Centroids, KMeansConfig, cluster_assign_topk, kmeans_fit
+from sparseattn import Centroids, KMeansConfig, kmeans_fit, load_centroids, save_centroids
 from sparseattn.kmeans import assign_topk_membership
 
 
@@ -51,51 +51,67 @@ class TestKMeansFit:
 
 
 class TestClusterAssign:
+    """``assign_topk_membership``: each row's k closest centroids."""
+
     def test_all_buckets_at_k_equals_b(self):
         rng = np.random.default_rng(6)
         c = Centroids(rng.normal(size=(5, 3)))
-        assert cluster_assign_topk(rng.normal(size=3), c, 5) == (1, 2, 3, 4, 5)
+        assert assign_topk_membership(rng.normal(size=(4, 3)), c, 5).all()
 
     def test_exact_centroid_hit(self):
         c = Centroids(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]]))
-        assert cluster_assign_topk(np.array([0.0, 5.0]), c, 1) == (3,)
+        member = assign_topk_membership(np.array([[0.0, 5.0]]), c, 1)
+        np.testing.assert_array_equal(member, [[False, False, True, False]])
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(7)
         c = Centroids(rng.normal(size=(8, 4)))
-        for _ in range(20):
-            x = rng.normal(size=4)
-            d = np.sum((c.C - x) ** 2, axis=1)
-            full = [int(b) + 1 for b in np.argsort(d, kind="stable")]
-            for k in (1, 3, 8):
-                assert cluster_assign_topk(x, c, k) == tuple(sorted(full[:k]))
+        X = rng.normal(size=(20, 4))
+        for k in (1, 3, 8):
+            member = assign_topk_membership(X, c, k)
+            for x, row in zip(X, member):
+                d = np.sum((c.C - x) ** 2, axis=1)
+                expected = np.sort(np.argsort(d, kind="stable")[:k])
+                np.testing.assert_array_equal(np.flatnonzero(row), expected)
 
     def test_ties_break_to_lower_index(self):
         c = Centroids(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
-        assert cluster_assign_topk(np.array([0.0, 0.0]), c, 2) == (1, 2)
+        member = assign_topk_membership(np.zeros((2, 2)), c, 2)
+        np.testing.assert_array_equal(member, [[True, True, False, False]] * 2)
 
     def test_k_out_of_range(self):
         c = Centroids(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            cluster_assign_topk(np.zeros(2), c, 4)
+            assign_topk_membership(np.zeros((1, 2)), c, 4)
         with pytest.raises(ValueError):
-            cluster_assign_topk(np.zeros(2), c, 0)
+            assign_topk_membership(np.zeros((1, 2)), c, 0)
 
     def test_topk_sets_nested_in_k(self):
         rng = np.random.default_rng(8)
         c = Centroids(rng.normal(size=(6, 3)))
-        for _ in range(20):
-            x = rng.normal(size=3)
-            prev = set()
-            for k in range(1, 7):
-                cur = set(cluster_assign_topk(x, c, k))
-                assert prev <= cur
-                prev = cur
+        X = rng.normal(size=(20, 3))
+        prev = np.zeros((20, 6), dtype=bool)
+        for k in range(1, 7):
+            cur = assign_topk_membership(X, c, k)
+            assert not np.any(prev & ~cur)
+            np.testing.assert_array_equal(cur.sum(axis=1), k)
+            prev = cur
 
     def test_membership_matrix_agrees(self):
+        # a batch call equals one call per row
         rng = np.random.default_rng(9)
         c = Centroids(rng.normal(size=(5, 3)))
         X = rng.normal(size=(10, 3))
         member = assign_topk_membership(X, c, 2)
         for i in range(10):
-            assert tuple(int(b) + 1 for b in np.flatnonzero(member[i])) == cluster_assign_topk(X[i], c, 2)
+            np.testing.assert_array_equal(member[i], assign_topk_membership(X[i : i + 1], c, 2)[0])
+
+
+class TestCentroidFile:
+    def test_round_trip_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(10)
+        c = Centroids(rng.normal(size=(5, 3)) * np.exp(rng.uniform(-30, 30, (5, 3))))
+        path = tmp_path / "c.txt"
+        save_centroids(c, path)
+        assert np.array_equal(load_centroids(path).C, c.C)
+        assert path.read_text().splitlines()[0] == "5 3"  # 'B r'

@@ -14,13 +14,11 @@ from sparseattn import (
     combine_with_patterns,
     distance_pairing,
     kmeans_fit,
-    load_bins,
     lsh_assign,
     quantize_assign,
     quantize_qk,
     recall,
     routing_assign,
-    save_bins,
     window_global_graph,
 )
 
@@ -131,16 +129,12 @@ class TestQuantization:
         buckets = quantize_assign(X, 2).token_buckets()
         assert buckets[1] == buckets[2]
 
-    def test_boundaries_file_round_trip(self, tmp_path):
+    def test_precomputed_boundaries_match_quantize_assign(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(20, 3))
         cuts = bin_boundaries(X, 4)
-        path = tmp_path / "bins.txt"
-        save_bins(cuts, path)
-        loaded = load_bins(path)
-        assert np.array_equal(loaded, cuts)
-        assert path.read_text().splitlines()[0] == "3 4"
-        a = assign_with_boundaries(X, loaded)
+        assert cuts.shape == (3, 3)
+        a = assign_with_boundaries(X, cuts)
         b = quantize_assign(X, 4)
         np.testing.assert_array_equal(a.membership, b.membership)
 
