@@ -18,7 +18,7 @@ try:
     from numba import njit
 
     NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+except ImportError:  # numba is the optional extra 'numba'; numpy is the reference
     NUMBA_AVAILABLE = False
 
 _flag = os.environ.get("SPARSEATTN_NUMBA", "1").strip().lower()

@@ -3,6 +3,8 @@ the learned predictors, sweep the hyperparameter grids, and report.
 
 All subcommands share --seed/--alpha/--causal/--config/--out; extra knobs
 live in the JSON config file (flat key/value object, unknown keys ignored).
+Stages after 'gen' take the causal flag from the data manifest and reject a
+--causal that contradicts it.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 contract
 violation detected by ``verify``.
 """
@@ -73,6 +75,22 @@ def _data_path(args, cfg, out):
     return _opt(args, cfg, "data", os.path.join(out, "data"))
 
 
+def _load_instances(args, cfg, out, causal):
+    """The data manifest's instances.  Their own causal flags decide the
+    masking, so a requested ``--causal`` (or ``causal: true``) must match
+    every one of them."""
+    mats = load_qk(_data_path(args, cfg, out))
+    flat = [sm for sm in mats if not sm.causal]
+    if causal and flat:
+        sm = flat[0]
+        raise ConfigError(
+            f"causal attention requested, but {len(flat)} instance(s) in the data "
+            f"manifest are not causal (first: layer {sm.layer} head {sm.head} "
+            f"instance {sm.instance})"
+        )
+    return mats
+
+
 def _load_meta(graphs_dir):
     """The ``meta.json`` that 'extract' writes next to the gold graphs."""
     meta_path = os.path.join(graphs_dir, "meta.json")
@@ -121,7 +139,7 @@ def cmd_gen(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
-    mats = load_qk(_data_path(args, cfg, out))
+    mats = _load_instances(args, cfg, out, causal)
     graphs_dir = _opt(args, cfg, "graphs", os.path.join(out, "graphs"))
     os.makedirs(graphs_dir, exist_ok=True)
     params = EntmaxParams(alpha=alpha)
@@ -157,7 +175,7 @@ def _instances_by_head(mats):
 
 def cmd_train_proj(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
-    mats = load_qk(_data_path(args, cfg, out))
+    mats = _load_instances(args, cfg, out, causal)
     graphs = _load_graphs(_opt(args, cfg, "graphs", os.path.join(out, "graphs")))
     proj_dir = _opt(args, cfg, "proj", os.path.join(out, "proj"))
     os.makedirs(proj_dir, exist_ok=True)
@@ -208,7 +226,7 @@ def _pooled_projected(mats, head):
 
 def cmd_fit_kmeans(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
-    mats = load_qk(_data_path(args, cfg, out))
+    mats = _load_instances(args, cfg, out, causal)
     heads = _load_proj_dir(_opt(args, cfg, "proj", os.path.join(out, "proj")))
     km_dir = _opt(args, cfg, "kmeans", os.path.join(out, "kmeans"))
     os.makedirs(km_dir, exist_ok=True)
@@ -250,8 +268,13 @@ def _load_kmeans_dir(km_dir):
 
 def cmd_sweep(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
-    mats = load_qk(_data_path(args, cfg, out))
+    mats = _load_instances(args, cfg, out, causal)
     meta = _load_meta(_opt(args, cfg, "graphs", os.path.join(out, "graphs")))
+    if meta.get("alpha") != alpha:
+        raise ConfigError(
+            f"gold graphs were extracted at alpha {meta.get('alpha')}, the sweep runs at "
+            f"alpha {alpha}; re-run 'extract' with --alpha {alpha}"
+        )
     artifacts = SweepArtifacts(
         heads=_load_proj_dir(_opt(args, cfg, "proj", os.path.join(out, "proj"))),
         centroids=_load_kmeans_dir(_opt(args, cfg, "kmeans", os.path.join(out, "kmeans"))),

@@ -65,22 +65,31 @@ class ScoreMatrix:
         return self.Q.shape[1]
 
 
+def _graph_shape(n, m, causal):
+    n = int(n)
+    m = int(m)
+    if n < 1 or m < 1:
+        raise ValueError("graph needs n >= 1 and m >= 1")
+    if causal and n != m:
+        raise ValueError("causal graph requires n == m")
+    return n, m
+
+
 class AttentionGraph:
     """Immutable edge set between n queries and m keys.
 
-    Edges are stored as a lexicographically sorted coordinate list so that
-    iteration order, metrics, and file output are reproducible.
+    Edges are stored in ``_lin`` as row-major linear indices ``i * m + j``,
+    sorted and unique, so that iteration order, metrics, and file output
+    are reproducible.  ``__init__`` accepts any edge list (duplicates and
+    any order) and establishes that invariant with ``np.unique``; the
+    private ``_from_sorted_lin``, used by ``from_dense`` and
+    ``graph_union``, trusts its input to hold it already.
     """
 
     __slots__ = ("n", "m", "causal", "_lin")
 
     def __init__(self, n, m, edges=(), causal=False):
-        n = int(n)
-        m = int(m)
-        if n < 1 or m < 1:
-            raise ValueError("graph needs n >= 1 and m >= 1")
-        if causal and n != m:
-            raise ValueError("causal graph requires n == m")
+        n, m = _graph_shape(n, m, causal)
         e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                        dtype=np.int64).reshape(-1, 2)
         if e.size:
@@ -98,9 +107,26 @@ class AttentionGraph:
         self._lin = lin
 
     @classmethod
+    def _from_sorted_lin(cls, n, m, lin, causal):
+        """Graph over linear indices ``lin`` that the caller guarantees to be
+        in range, sorted and unique (unchecked)."""
+        g = cls.__new__(cls)
+        g.n, g.m, g.causal = n, m, bool(causal)
+        lin = np.asarray(lin, dtype=np.int64)
+        lin.setflags(write=False)
+        g._lin = lin
+        return g
+
+    @classmethod
     def from_dense(cls, dense, causal=False):
         dense = np.asarray(dense, dtype=bool)
-        return cls(dense.shape[0], dense.shape[1], np.argwhere(dense), causal=causal)
+        if dense.ndim != 2:
+            raise ValueError("dense mask must be a 2-D matrix")
+        n, m = _graph_shape(*dense.shape, causal)
+        if causal and np.triu(dense, 1).any():
+            raise ValueError("causal graph admits only edges with j <= i")
+        # flatnonzero is row-major, hence already sorted and unique
+        return cls._from_sorted_lin(n, m, np.flatnonzero(dense), causal)
 
     @property
     def edges(self) -> np.ndarray:
@@ -212,12 +238,20 @@ def sparsity(g: AttentionGraph) -> float:
 
 
 def graph_union(a: AttentionGraph, b: AttentionGraph) -> AttentionGraph:
+    """Edges of either graph; a linear merge of the two sorted edge lists."""
     _check_same_shape(a, b)
-    out = AttentionGraph(a.n, a.m, causal=a.causal)
-    lin = np.union1d(a._lin, b._lin)
-    lin.setflags(write=False)
-    out._lin = lin
-    return out
+    lin = _merge_sorted(a._lin, b._lin)
+    return AttentionGraph._from_sorted_lin(a.n, a.m, lin, a.causal)
+
+
+def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted unique int arrays (``np.union1d`` without
+    its re-sort)."""
+    if not a.size or not b.size:
+        return a if b.size == 0 else b
+    pos = np.searchsorted(a, b)
+    fresh = a[np.minimum(pos, a.size - 1)] != b
+    return np.insert(a, pos[fresh], b[fresh])
 
 
 def write_graph(g: AttentionGraph, path):

@@ -158,8 +158,8 @@ def buckets_to_graph(qa: BucketAssignment, ka: BucketAssignment, causal: bool = 
         raise ValueError(
             f"bucket universes differ: {qa.n_buckets} vs {ka.n_buckets}"
         )
-    hits = qa.membership.astype(np.int64) @ ka.membership.astype(np.int64).T
-    dense = hits > 0
+    # exact in float32: each entry sums B < 2**24 products of 0/1
+    dense = qa.membership.astype(np.float32) @ ka.membership.astype(np.float32).T > 0
     dense &= admissible_mask(qa.n_tokens, ka.n_tokens, causal)
     return AttentionGraph.from_dense(dense, causal=causal)
 
@@ -172,9 +172,8 @@ def window_global_graph(n: int, m: int, pc: PatternConfig) -> AttentionGraph:
     dense = np.zeros((n, m), dtype=bool)
     if pc.window > 0:
         half = pc.window // 2
-        i = np.arange(n)[:, None]
-        j = np.arange(m)[None, :]
-        dense |= np.abs(i - j) <= half
+        # |i - j| <= half: below the +half diagonal, not below the -half one
+        dense |= np.tri(n, m, half, dtype=bool) & ~np.tri(n, m, -half - 1, dtype=bool)
     for g in pc.global_tokens:
         dense[g, :] = True  # global token attends everywhere
         if g < m:

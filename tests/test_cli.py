@@ -161,6 +161,28 @@ class TestExitCodes:
         assert cli.main(["bench", "--alpha", "2", "--out", str(out)]) == 2
         assert not (out / "bench.csv").exists()
 
+    def test_sweep_alpha_must_match_extract_alpha(self, exp):
+        _, _, out, base = exp
+        assert cli.main(["extract", "--alpha", "1.25"] + base) == 0
+        assert cli.main(["sweep", "--alpha", "1.5"] + base) == 2
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+
+    def test_causal_flag_contradicting_data_is_config_error(self, exp):
+        _, _, out, base = exp  # the fixture's data is not causal
+        before = open(os.path.join(out, "graphs", "g_l0_h0_i0.txt"), "rb").read()
+        for cmd in ("extract", "train-proj", "fit-kmeans", "sweep"):
+            assert cli.main([cmd, "--causal"] + base) == 2, cmd
+        assert open(os.path.join(out, "graphs", "g_l0_h0_i0.txt"), "rb").read() == before
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+
+    def test_causal_flag_matching_data_is_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 8, "d": 4, "causal": True}))
+        base = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert cli.main(["gen"] + base) == 0
+        assert cli.main(["extract", "--causal"] + base) == 0
+        assert read_graph(str(tmp_path / "o" / "graphs" / "g_l0_h0_i0.txt")).causal
+
     def test_sweep_without_artifacts_is_config_error(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
