@@ -7,7 +7,7 @@ thresholds, balanced quantization, or top-k clustering (plus fixed-pattern
 baselines), and scores every strategy on the sparsity/recall tradeoff.
 """
 
-from ._kernels import NUMBA_ENABLED, backend
+from ._kernels import backend
 from .blocks import (
     BenchRecord,
     BlockBudget,
@@ -41,7 +41,6 @@ from .graph import (
     AttentionGraph,
     ScoreMatrix,
     attention_probs,
-    attention_probs_masked,
     attention_scores,
     extract_graph,
     graph_union,

@@ -92,21 +92,25 @@ def _entmax_bisect_core(z, alpha, tol, max_iter):
     return p, tau + (alpha - 1.0) * zmax
 
 
-def entmax(z, params: EntmaxParams = DEFAULT_PARAMS) -> np.ndarray:
-    """alpha-entmax probabilities of a score vector.
+def _solve(z, params: EntmaxParams):
+    """(p, tau) of alpha-entmax, tau in the original score domain.
 
-    Dispatches to softmax (alpha=1), exact sparsemax (alpha=2), the exact
-    sorted 1.5-entmax solver, or bisection for any other alpha.
+    Dispatches to softmax (alpha=1, tau None), exact sparsemax (alpha=2),
+    the exact sorted 1.5-entmax solver, or bisection for any other alpha.
     """
-    z = _as_scores(z)
     a = params.alpha
     if a == 1.0:
-        return _softmax(z)
+        return _softmax(z), None
     if a == 1.5:
-        return _kernels.entmax15_core_np(z)[0]
+        return _kernels.entmax15_core(z)
     if a == 2.0:
-        return _sparsemax_core(z)[0]
-    return _entmax_bisect_core(z, a, params.bisection_tol, params.bisection_max_iter)[0]
+        return _sparsemax_core(z)
+    return _entmax_bisect_core(z, a, params.bisection_tol, params.bisection_max_iter)
+
+
+def entmax(z, params: EntmaxParams = DEFAULT_PARAMS) -> np.ndarray:
+    """alpha-entmax probabilities of a score vector."""
+    return _solve(_as_scores(z), params)[0]
 
 
 def entmax_tau(z, params: EntmaxParams = DEFAULT_PARAMS) -> float:
@@ -116,16 +120,9 @@ def entmax_tau(z, params: EntmaxParams = DEFAULT_PARAMS) -> float:
     threshold), which raises ValueError.
     """
     z = _as_scores(z)
-    a = params.alpha
-    if a == 1.0:
+    if params.alpha == 1.0:
         raise ValueError("tau is undefined for alpha = 1 (softmax)")
-    if a == 1.5:
-        return float(_kernels.entmax15_core_np(z)[1])
-    if a == 2.0:
-        return float(_sparsemax_core(z)[1])
-    return float(
-        _entmax_bisect_core(z, a, params.bisection_tol, params.bisection_max_iter)[1]
-    )
+    return float(_solve(z, params)[1])
 
 
 def _as_mask(mask, n) -> np.ndarray:

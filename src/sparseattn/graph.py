@@ -177,36 +177,21 @@ def attention_scores(sm: ScoreMatrix) -> np.ndarray:
     return (sm.Q @ sm.K.T) / np.sqrt(sm.d)
 
 
-def _probs_on_mask(Z, valid, params: EntmaxParams) -> np.ndarray:
+def attention_probs(sm: ScoreMatrix, params: EntmaxParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Row-wise entmax attention probabilities (causal mask applied).
+
+    This is the dense reference: ``blocks.sparse_attention_probs`` scores
+    only a graph's cells and must equal it whenever the graph covers the
+    gold support.
+    """
+    Z = attention_scores(sm)
+    valid = admissible_mask(sm.n, sm.m, sm.causal)
     if params.alpha == 1.5:
         return _kernels.entmax15_masked_rows(Z, valid)
     P = np.zeros_like(Z)
-    for i in range(Z.shape[0]):
-        if valid[i].any():
-            P[i] = masked_entmax(Z[i], valid[i], params)
+    for i in range(sm.n):
+        P[i] = masked_entmax(Z[i], valid[i], params)
     return P
-
-
-def attention_probs(sm: ScoreMatrix, params: EntmaxParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Row-wise entmax attention probabilities (causal mask applied)."""
-    Z = attention_scores(sm)
-    return _probs_on_mask(Z, admissible_mask(sm.n, sm.m, sm.causal), params)
-
-
-def attention_probs_masked(
-    sm: ScoreMatrix, graph: AttentionGraph, params: EntmaxParams = DEFAULT_PARAMS
-) -> np.ndarray:
-    """Attention probabilities recomputed with scores masked to ``graph``.
-
-    Rows with no predicted edge are left as all-zero.  When the graph
-    contains the true support of every row, the result equals the dense
-    probabilities exactly (sparse-consistency).
-    """
-    if (graph.n, graph.m, graph.causal) != (sm.n, sm.m, sm.causal):
-        raise ValueError("graph shape/causal flag does not match score matrix")
-    Z = attention_scores(sm)
-    valid = graph.to_dense() & admissible_mask(sm.n, sm.m, sm.causal)
-    return _probs_on_mask(Z, valid, params)
 
 
 def extract_graph(sm: ScoreMatrix, params: EntmaxParams = DEFAULT_PARAMS) -> AttentionGraph:

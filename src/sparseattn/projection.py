@@ -12,13 +12,7 @@ import numpy as np
 
 from ._textio import read_rows, write_rows
 from .errors import DataError
-from .graph import AttentionGraph, ScoreMatrix
-
-
-def _frozen(a, dtype=np.float64):
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
+from .graph import AttentionGraph, ScoreMatrix, _frozen
 
 
 @dataclass(frozen=True)

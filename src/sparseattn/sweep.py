@@ -48,6 +48,9 @@ METHODS = (
 
 _NEEDS_PROJECTION = {"distance", "quantization", "clustering", "routing", "lsh"}
 
+# grid parameter that names the centroid count B of a centroid-based method
+_CENTROID_GRID_KEY = {"clustering": "B", "routing": "c"}
+
 DEFAULT_GRIDS = {
     "distance": {"t": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]},
     "quantization": {"beta": [1, 2, 3, 4, 5]},
@@ -131,8 +134,6 @@ def _record_key(rec: SweepRecord):
 def _build_cells(methods, grids, pattern_grid: PatternGrid):
     cells = []
     for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
         grid = _grid_for(method, grids)
         names = sorted(grid)
         combos = [dict(zip(names, vals))
@@ -164,19 +165,12 @@ def _validate_artifacts(instances, methods, grids, artifacts: SweepArtifacts):
                         f"projection for layer/head {key} expects d={artifacts.heads[key].d}, "
                         f"data has d={dims[key]}"
                     )
-        if method == "clustering":
-            for B in grid["B"]:
+        if method in _CENTROID_GRID_KEY:
+            for B in grid[_CENTROID_GRID_KEY[method]]:
                 for key in keys:
                     if key + (int(B),) not in artifacts.centroids:
                         raise ConfigError(
-                            f"method 'clustering' needs centroids B={B} for layer/head {key}"
-                        )
-        if method == "routing":
-            for c in grid["c"]:
-                for key in keys:
-                    if key + (int(c),) not in artifacts.centroids:
-                        raise ConfigError(
-                            f"method 'routing' needs centroids B={c} for layer/head {key}"
+                            f"method {method!r} needs centroids B={B} for layer/head {key}"
                         )
 
 

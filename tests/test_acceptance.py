@@ -22,7 +22,6 @@ from sparseattn import (
     SweepArtifacts,
     SyntheticSpec,
     attention_probs,
-    attention_probs_masked,
     audit_sparse_consistency,
     bench_masked_attention,
     build_pair_dataset,
@@ -142,7 +141,7 @@ def test_criterion_03_end_to_end_exactness(causal_heads):
             if recall(pred, gold) == 1.0:
                 checked += 1
                 np.testing.assert_allclose(
-                    attention_probs_masked(sm, pred), attention_probs(sm), atol=1e-9
+                    sparse_attention_probs(sm, pred), attention_probs(sm), atol=1e-9
                 )
     assert checked >= 3 * len(mats)  # the three full-recall configs per head
     _ok(3, f"{checked} full-recall predictions over 50 causal heads reproduce "

@@ -5,6 +5,7 @@ from sparseattn import (
     AttentionGraph,
     BlockBudget,
     Centroids,
+    EntmaxParams,
     KMeansConfig,
     ProjectionHead,
     ScoreMatrix,
@@ -17,6 +18,7 @@ from sparseattn import (
     expand_blocks,
     extract_graph,
     graph_score_flops,
+    graph_union,
     kmeans_fit,
     project_rows,
     recall,
@@ -257,6 +259,35 @@ class TestFlopsAndSparsePath:
         np.testing.assert_allclose(
             sparse_attention_probs(sm, gold), attention_probs(sm), atol=1e-9
         )
+
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_sparse_path_matches_dense_on_covering_graph(self, alpha, causal):
+        params = EntmaxParams(alpha=alpha)
+        rng = np.random.default_rng(16)
+        n = 24
+        for _ in range(5):
+            sm = ScoreMatrix(rng.normal(size=(n, 8)) * 1.5, rng.normal(size=(n, 8)) * 1.5,
+                             causal=causal)
+            gold = extract_graph(sm, params)
+            extra = rng.random((n, n)) < 0.2
+            if causal:
+                extra &= np.tri(n, dtype=bool)
+            pred = graph_union(gold, AttentionGraph.from_dense(extra, causal=causal))
+            assert pred.edge_count > gold.edge_count
+            np.testing.assert_allclose(
+                sparse_attention_probs(sm, pred, params), attention_probs(sm, params),
+                rtol=0, atol=1e-9,
+            )
+
+    def test_causal_mismatch_rejected(self):
+        sm, gold = random_gold(n=6, causal=True, seed=17)
+        full = AttentionGraph.from_dense(np.ones((6, 6), dtype=bool))
+        with pytest.raises(ValueError, match="causal"):
+            sparse_attention_probs(sm, full)
+        noncausal = ScoreMatrix(sm.Q, sm.K, causal=False)
+        with pytest.raises(ValueError, match="causal"):
+            sparse_attention_probs(noncausal, gold)
 
 
 class TestBench:

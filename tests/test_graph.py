@@ -7,12 +7,12 @@ from sparseattn import (
     EntmaxParams,
     ScoreMatrix,
     attention_probs,
-    attention_probs_masked,
     attention_scores,
     extract_graph,
     graph_union,
     read_graph,
     recall,
+    sparse_attention_probs,
     sparsity,
     write_graph,
 )
@@ -169,7 +169,7 @@ class TestSparseConsistencyEndToEnd:
                      if not sm.causal or j <= i}
             pred = AttentionGraph(12, 12, sorted(gold.edge_set() | extra), causal=sm.causal)
             np.testing.assert_allclose(
-                attention_probs_masked(sm, pred), attention_probs(sm), atol=1e-9
+                sparse_attention_probs(sm, pred), attention_probs(sm), atol=1e-9
             )
 
 

@@ -1,94 +1,19 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+import sparseattn
 from sparseattn import _kernels
 
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
+
+def test_backend_is_numpy():
+    assert sparseattn.backend() == "numpy"
 
 
-@needs_numba
-class TestBackendEquivalence:
-    def test_entmax15_masked_rows(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            Z = rng.normal(size=(12, 9))
-            valid = rng.random((12, 9)) < 0.6
-            valid[:, 0] = True  # keep every row nonempty
-            nb = _kernels._entmax15_masked_rows_nb(Z, valid)
-            np_ = _kernels._entmax15_masked_rows_np(Z, valid)
-            np.testing.assert_allclose(nb, np_, atol=1e-12)
+def test_entmax15_handles_empty_rows():
+    Z = np.zeros((3, 4))
+    valid = np.zeros((3, 4), dtype=bool)
+    valid[0] = True
+    P = _kernels.entmax15_masked_rows(Z, valid)
+    assert P[0].sum() == pytest.approx(1.0)
+    assert not P[1:].any()
 
-    def test_entmax15_handles_empty_rows(self):
-        Z = np.zeros((3, 4))
-        valid = np.zeros((3, 4), dtype=bool)
-        valid[0] = True
-        for fn in (_kernels._entmax15_masked_rows_nb, _kernels._entmax15_masked_rows_np):
-            P = fn(Z, valid)
-            assert P[0].sum() == pytest.approx(1.0)
-            assert not P[1:].any()
-
-    def test_pairwise_sqdist(self):
-        rng = np.random.default_rng(2)
-        A = rng.normal(size=(10, 4))
-        B = rng.normal(size=(7, 4))
-        np.testing.assert_allclose(
-            _kernels._pairwise_sqdist_nb(A, B), _kernels._pairwise_sqdist_np(A, B), atol=1e-10
-        )
-
-    def test_kmeans_assign(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(30, 3))
-        C = rng.normal(size=(5, 3))
-        lab_nb, in_nb = _kernels._kmeans_assign_nb(X, C)
-        lab_np, in_np = _kernels._kmeans_assign_np(X, C)
-        np.testing.assert_array_equal(lab_nb, lab_np)
-        assert in_nb == pytest.approx(in_np, rel=1e-12)
-
-    def test_sparse_rows_entmax15(self):
-        rng = np.random.default_rng(4)
-        Q = rng.normal(size=(9, 5))
-        K = rng.normal(size=(9, 5))
-        cols, indptr = [], [0]
-        for i in range(9):
-            js = sorted(rng.choice(9, size=rng.integers(0, 6), replace=False))
-            cols.extend(js)
-            indptr.append(len(cols))
-        indptr = np.asarray(indptr, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        nb = _kernels._sparse_rows_entmax15_nb(Q, K, indptr, cols, 0.4)
-        np_ = _kernels._sparse_rows_entmax15_np(Q, K, indptr, cols, 0.4)
-        np.testing.assert_allclose(nb, np_, atol=1e-12)
-
-
-class TestBackendSelection:
-    def _backend_with_env(self, value):
-        env = dict(os.environ)
-        if value is None:
-            env.pop("SPARSEATTN_NUMBA", None)
-        else:
-            env["SPARSEATTN_NUMBA"] = value
-        out = subprocess.run(
-            [sys.executable, "-c", "import sparseattn; print(sparseattn.backend())"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        return out.stdout.strip()
-
-    @needs_numba
-    def test_default_is_numba(self):
-        assert self._backend_with_env(None) == "numba"
-
-    def test_flag_disables_numba(self):
-        assert self._backend_with_env("0") == "numpy"
-        assert self._backend_with_env("off") == "numpy"
-
-    def test_selected_aliases_match_flag(self):
-        expected = (
-            _kernels._entmax15_masked_rows_nb
-            if _kernels.NUMBA_ENABLED
-            else _kernels._entmax15_masked_rows_np
-        )
-        assert _kernels.entmax15_masked_rows is expected

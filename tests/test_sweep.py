@@ -123,7 +123,7 @@ class TestRunSweep:
         assert all(rec.layer == 0 and rec.head == 0 for rec in recs)
 
     def test_missing_artifact_raises_config_error(self):
-        mats, golds, _ = small_setup()
+        mats, golds, arts = small_setup()
         with pytest.raises(ConfigError, match="projection"):
             run_sweep(mats, ["distance"], pattern_grid=PatternGrid(windows=(0,)))
         arts_no_centroids = SweepArtifacts(heads=small_setup()[2].heads)
@@ -132,6 +132,13 @@ class TestRunSweep:
                 mats, ["clustering"], grids={"clustering": {"B": [8], "k": [1]}},
                 pattern_grid=PatternGrid(windows=(0,)), artifacts=arts_no_centroids,
             )
+        # the centroid count comes from grid key B (clustering) or c (routing)
+        for method, grid, B in (("clustering", {"B": [2, 8], "k": [1]}, 8),
+                                ("routing", {"c": [4, 6]}, 6)):
+            with pytest.raises(ConfigError) as err:
+                run_sweep(mats, [method], grids={method: grid},
+                          pattern_grid=PatternGrid(windows=(0,)), artifacts=arts)
+            assert str(err.value) == f"method '{method}' needs centroids B={B} for layer/head (0, 0)"
 
     def test_unknown_method(self):
         mats, golds, arts = small_setup()
