@@ -12,6 +12,7 @@ from .blocks import (
     BenchRecord,
     BlockBudget,
     ChunkedGraph,
+    audit_sparse_attention,
     bench_masked_attention,
     chunk_labels,
     chunk_means,

@@ -208,6 +208,39 @@ def sparse_attention_probs(
     return P
 
 
+# (n, causal) of the heads ``audit_sparse_attention`` checks.  At n = 512
+# the CSR rows fall into every padded-width group up to 512 and the widest
+# group needs more than one kernel batch.
+AUDIT_HEADS = ((1, False), (37, False), (37, True), (512, False), (512, True))
+
+
+def audit_sparse_attention(seed: int = 0, alpha: float = 1.5):
+    """Sparse-consistency audit of the batched attention paths.
+
+    Each head of ``AUDIT_HEADS`` gets random scores drawn from ``seed`` and
+    a graph covering its gold support plus random extra edges (a random
+    density per row, so row lengths spread widely).  Returns one record per
+    head where ``sparse_attention_probs`` and ``attention_probs`` differ by
+    more than 1e-9 (empty on a healthy build).
+    """
+    params = EntmaxParams(alpha=alpha)
+    rng = np.random.default_rng(seed)
+    failures = []
+    for head, (n, causal) in enumerate(AUDIT_HEADS):
+        sm = ScoreMatrix(rng.normal(size=(n, 16)), rng.normal(size=(n, 16)), causal=causal)
+        extra = rng.random((n, n)) < rng.random((n, 1))
+        if causal:
+            extra &= np.tri(n, dtype=bool)
+        graph = graph_union(
+            extract_graph(sm, params), AttentionGraph.from_dense(extra, causal=causal)
+        )
+        P = sparse_attention_probs(sm, graph, params)
+        diff = np.max(np.abs(P - attention_probs(sm, params)))
+        if not diff <= 1e-9:
+            failures.append({"head": head, "n": n, "causal": causal, "max_abs_diff": float(diff)})
+    return failures
+
+
 @dataclass(frozen=True)
 class BenchRecord:
     variant: str
@@ -252,20 +285,22 @@ def bench_masked_attention(
     repeats: int = 5,
     seed: int = 0,
     causal: bool = False,
+    params: EntmaxParams = DEFAULT_PARAMS,
 ) -> BenchRecord:
-    """Time dense 1.5-entmax attention against block-sparse evaluation.
+    """Time dense entmax attention against block-sparse evaluation.
 
     The instance is self-contained: a random (Q, K) pair, a chunk-level
     projection trained on the instance's own block labels, and for v2 a
     centroid set fitted on the projected blocks (top-k clamped to the
-    centroid count).  The timed region covers score computation plus the
-    row-wise entmax; block selection happens offline.
+    centroid count).  The timed regions are ``attention_probs(sm, params)``
+    and ``sparse_attention_probs(sm, graph, params)`` on the selected
+    blocks plus the window; block selection happens offline.
     """
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
     rng = np.random.default_rng(seed)
     sm = ScoreMatrix(rng.normal(size=(n, d)), rng.normal(size=(n, d)), causal=causal)
-    gold = extract_graph(sm)
+    gold = extract_graph(sm, params)
 
     labels = chunk_labels(gold, z)
     block_sm = ScoreMatrix(chunk_means(sm.Q, z), chunk_means(sm.K, z), causal=causal)
@@ -286,11 +321,9 @@ def bench_masked_attention(
         expanded, window_global_graph(n, n, PatternConfig(window=window, causal=causal))
     )
 
-    indptr, cols = csr_from_graph(combined)
-    scale = 1.0 / np.sqrt(d)
-    dense_med, dense_iqr = _time_ms(lambda: attention_probs(sm), repeats)
+    dense_med, dense_iqr = _time_ms(lambda: attention_probs(sm, params), repeats)
     block_med, block_iqr = _time_ms(
-        lambda: _kernels.sparse_rows_entmax15(sm.Q, sm.K, indptr, cols, scale), repeats
+        lambda: sparse_attention_probs(sm, combined, params), repeats
     )
 
     return BenchRecord(

@@ -17,7 +17,13 @@ import sys
 
 import numpy as np
 
-from .blocks import BlockBudget, bench_masked_attention, write_bench_csv
+from .blocks import (
+    AUDIT_HEADS,
+    BlockBudget,
+    audit_sparse_attention,
+    bench_masked_attention,
+    write_bench_csv,
+)
 from .data import SyntheticSpec, generate_instances, load_qk, save_qk
 from .entmax import EntmaxParams, audit_sparse_consistency
 from .errors import ConfigError, ContractViolation, DataError
@@ -315,8 +321,7 @@ def cmd_pareto(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
-    if alpha != 1.5:
-        raise ConfigError(f"bench times 1.5-entmax only, got --alpha {alpha}")
+    params = EntmaxParams(alpha=alpha)
     n = int(cfg.get("bench_n", 256))
     d = int(cfg.get("bench_d", 64))
     z_list = [int(z) for z in cfg.get("z_list", [8, 16])]
@@ -331,6 +336,7 @@ def cmd_bench(args) -> int:
                 rec = bench_masked_attention(
                     n, d, z, BlockBudget(top_k, variant),
                     window=window, repeats=repeats, seed=seed, causal=causal,
+                    params=params,
                 )
                 records.append(rec)
                 print(
@@ -348,12 +354,21 @@ def cmd_verify(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
     trials = int(_opt(args, cfg, "trials", 1000))
     failures = audit_sparse_consistency(trials=trials, seed=seed, alpha=alpha)
-    if failures:
-        print(f"verify: FAIL: {len(failures)}/{trials} sparse-consistency violations")
+    head_failures = audit_sparse_attention(seed=seed, alpha=alpha)
+    heads = len(AUDIT_HEADS)
+    if failures or head_failures:
+        print(
+            f"verify: FAIL: {len(failures)}/{trials} dominating-mask trials and "
+            f"{len(head_failures)}/{heads} sparse-attention heads violate sparse consistency"
+        )
         for f in failures[:10]:
             print(f"  trial {f['trial']}: n={f['n']} extra_bits={f['extra_bits']}")
+        for f in head_failures:
+            print(f"  head {f['head']}: n={f['n']} causal={f['causal']} "
+                  f"max diff {f['max_abs_diff']:.3g}")
         return 4
-    print(f"verify: OK: {trials} random dominating-mask trials, zero violations")
+    print(f"verify: OK: {trials} random dominating-mask trials and {heads} "
+          f"sparse-attention heads, zero violations")
     return 0
 
 
@@ -403,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", default=None, help="path to sweep.csv")
     p.set_defaults(func=cmd_pareto)
 
-    p = sub.add_parser("bench", parents=[common], help="block-attention micro-benchmark (alpha 1.5 only)")
+    p = sub.add_parser("bench", parents=[common], help="block-attention micro-benchmark")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", parents=[common], help="sparse-consistency audit")

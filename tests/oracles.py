@@ -5,6 +5,8 @@ loops, O(n^2) scans) and share no code with the package, so a test never
 checks an implementation against itself.
 """
 
+import math
+
 import numpy as np
 
 
@@ -33,6 +35,34 @@ def entmax_bisect(z, alpha=1.5, tol=1e-12, iters=400):
             hi = mid
     tau = 0.5 * (lo + hi)
     return np.maximum(s - tau, 0.0) ** power, tau
+
+
+def entmax15_sort(z):
+    """1.5-entmax of one vector from the sort-based formula, in scalar loops.
+
+    With s = (z - max z) / 2 sorted descending and running sums over the
+    first k entries, tau_k = mean_k - sqrt(max((1 - ss_k) / k, 0)) where
+    ss_k = sum of squares - sum * mean_k; the support size is the number
+    of k with tau_k <= s_(k), and p = [s - tau]_+^2.  Sums run left to
+    right, one addition at a time.  Returns (p, tau) with tau in the
+    unshifted domain: sum_j [z_j / 2 - tau]_+^2 = 1.
+    """
+    z = [float(v) for v in z]
+    zmax = max(z)
+    s = [(v - zmax) * 0.5 for v in z]
+    srt = sorted(s, reverse=True)
+    taus = []
+    total = squares = 0.0
+    for k, v in enumerate(srt, start=1):
+        total += v
+        squares += v * v
+        mean = total / k
+        ss = squares - total * mean
+        taus.append(mean - math.sqrt(max((1.0 - ss) / k, 0.0)))
+    support = sum(1 for t, v in zip(taus, srt) if t <= v)
+    tau = taus[support - 1]
+    p = [max(v - tau, 0.0) for v in s]
+    return np.array([q * q for q in p]), tau + 0.5 * zmax
 
 
 def softmax(z):

@@ -10,6 +10,7 @@ from sparseattn import (
     ProjectionHead,
     ScoreMatrix,
     attention_probs,
+    audit_sparse_attention,
     bench_masked_attention,
     chunk_labels,
     chunk_means,
@@ -27,7 +28,8 @@ from sparseattn import (
     sparse_attention_probs,
     write_bench_csv,
 )
-from sparseattn.blocks import BENCH_CSV_COLUMNS
+from sparseattn import _kernels
+from sparseattn.blocks import AUDIT_HEADS, BENCH_CSV_COLUMNS
 
 
 def random_gold(n=8, d=6, causal=True, seed=0):
@@ -333,3 +335,18 @@ class TestBench:
         assert lines[0] == ",".join(BENCH_CSV_COLUMNS)
         assert lines[1].startswith("dense,32,12,")
         assert lines[2].startswith("v1,32,12,8,2,3,")
+
+
+class TestAudit:
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0])
+    def test_healthy_build_passes(self, alpha):
+        assert audit_sparse_attention(seed=5, alpha=alpha) == []
+
+    def test_detects_a_wrong_sparse_kernel(self, monkeypatch):
+        real = _kernels.sparse_rows_entmax15
+        monkeypatch.setattr(
+            _kernels, "sparse_rows_entmax15", lambda *a: real(*a) * (1.0 + 1e-6)
+        )
+        failures = audit_sparse_attention(seed=5)
+        assert [f["head"] for f in failures] == list(range(len(AUDIT_HEADS)))
+        assert all(f["max_abs_diff"] > 1e-9 for f in failures)

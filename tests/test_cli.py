@@ -156,10 +156,17 @@ class TestExitCodes:
         _, _, _, base = exp
         assert cli.main(["fit-bins"] + base) == 2
 
-    def test_bench_rejects_alpha_other_than_1_5(self, tmp_path):
-        out = tmp_path / "o"
-        assert cli.main(["bench", "--alpha", "2", "--out", str(out)]) == 2
-        assert not (out / "bench.csv").exists()
+    def test_bench_runs_at_any_alpha(self, tmp_path):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "bench_n": 32, "bench_d": 8, "z_list": [8], "top_k_list": [2],
+            "variants": ["v1"], "repeats": 3,
+        }))
+        for alpha in ("2", "1.25"):
+            out = tmp_path / alpha
+            argv = ["bench", "--alpha", alpha, "--config", str(cfg), "--out", str(out)]
+            assert cli.main(argv) == 0, alpha
+            assert len((out / "bench.csv").read_text().splitlines()) == 3, alpha
 
     def test_sweep_alpha_must_match_extract_alpha(self, exp):
         _, _, out, base = exp
@@ -200,6 +207,14 @@ class TestExitCodes:
             lambda trials, seed, alpha: [{"trial": 0, "n": 4, "extra_bits": 1}],
         )
         assert cli.main(["verify", "--trials", "10"]) == 4
+
+    def test_verify_reports_sparse_attention_violations_with_exit_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "audit_sparse_attention",
+            lambda seed, alpha: [{"head": 3, "n": 512, "causal": False, "max_abs_diff": 0.5}],
+        )
+        assert cli.main(["verify", "--trials", "10"]) == 4
+        assert "0/10 dominating-mask trials and 1/5 sparse-attention heads" in capsys.readouterr().out
 
     def test_usage_error(self, capsys):
         assert cli.main(["no-such-command"]) == 2
