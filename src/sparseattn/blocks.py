@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .entmax import DEFAULT_PARAMS, EntmaxParams, entmax
+from .entmax import DEFAULT_PARAMS, EntmaxParams
 from .graph import (
     AttentionGraph,
     ScoreMatrix,
@@ -133,8 +133,8 @@ def select_blocks_v2(
 ) -> ChunkedGraph:
     """Block pair selected iff the blocks share a centroid among each side's
     top_k_blocks closest ones."""
-    qa = BucketAssignment(assign_topk_membership(Qb, centroids, budget.top_k_blocks), "query")
-    ka = BucketAssignment(assign_topk_membership(Kb, centroids, budget.top_k_blocks), "key")
+    qa = BucketAssignment(assign_topk_membership(Qb, centroids, budget.top_k_blocks))
+    ka = BucketAssignment(assign_topk_membership(Kb, centroids, budget.top_k_blocks))
     return ChunkedGraph(z, buckets_to_graph(qa, ka, causal=causal))
 
 
@@ -194,14 +194,7 @@ def sparse_attention_probs(
         raise ValueError("graph shape/causal flag does not match score matrix")
     indptr, cols = csr_from_graph(graph)
     scale = 1.0 / np.sqrt(sm.d)
-    if params.alpha == 1.5:
-        vals = _kernels.sparse_rows_entmax15(sm.Q, sm.K, indptr, cols, scale)
-    else:
-        vals = np.zeros(cols.size)
-        for i in range(sm.n):
-            lo, hi = indptr[i], indptr[i + 1]
-            if hi > lo:
-                vals[lo:hi] = entmax((sm.K[cols[lo:hi]] @ sm.Q[i]) * scale, params)
+    vals = _kernels.sparse_rows_entmax15(sm.Q, sm.K, indptr, cols, scale, params.alpha)
     P = np.zeros((sm.n, sm.m))
     rows = np.repeat(np.arange(sm.n), np.diff(indptr))
     P[rows, cols] = vals

@@ -3,9 +3,11 @@
 alpha-entmax maps a score vector z to probabilities
 ``[(alpha - 1) z - tau(z)]_+ ** (1 / (alpha - 1))`` where tau normalizes the
 result to the simplex.  alpha = 1 is softmax (dense), alpha = 2 is sparsemax,
-and alpha = 1.5 has a fast exact sort-based solver; any other alpha >= 1 is
-handled by bisection on tau.  Everything here is a pure function of its
-inputs and safe to call concurrently.
+alpha = 1.5 and 2 have exact sort-based solvers, and any other alpha >= 1 is
+handled by bisection on tau.  A vector is solved as a one-row block of
+``_kernels.solve_rows``, the padded solver behind every attention path.
+Everything here is a pure function of its inputs and safe to call
+concurrently.
 """
 
 from dataclasses import dataclass
@@ -23,16 +25,10 @@ SUPPORT_TOL = 1e-12
 @dataclass(frozen=True)
 class EntmaxParams:
     alpha: float = 1.5
-    bisection_tol: float = 1e-9
-    bisection_max_iter: int = 100
 
     def __post_init__(self):
         if self.alpha < 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.bisection_tol <= 0:
-            raise ValueError("bisection_tol must be positive")
-        if self.bisection_max_iter < 1:
-            raise ValueError("bisection_max_iter must be >= 1")
 
 
 DEFAULT_PARAMS = EntmaxParams()
@@ -49,68 +45,9 @@ def _as_scores(z) -> np.ndarray:
     return z
 
 
-def _softmax(z):
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def _sparsemax_core(z):
-    """Exact sparsemax; returns (p, tau) with tau in the original domain."""
-    zmax = z.max()
-    s = z - zmax
-    srt = np.sort(s)[::-1]
-    k = np.arange(1, srt.size + 1, dtype=np.float64)
-    csum = np.cumsum(srt)
-    support = int(np.count_nonzero(1.0 + k * srt > csum))
-    tau = (csum[support - 1] - 1.0) / support
-    p = np.maximum(s - tau, 0.0)
-    return p, tau + zmax
-
-
-def _entmax_bisect_core(z, alpha, tol, max_iter):
-    """General-alpha solver: bisection on tau over the bracket
-    [max(s) - 1, max(s)] with s = (alpha - 1) z, where the normalization
-    sum is guaranteed to cross 1.  Returns (p, tau) in the original domain.
-    """
-    zmax = z.max()
-    s = (alpha - 1.0) * (z - zmax)
-    power = 1.0 / (alpha - 1.0)
-    lo = s.max() - 1.0
-    hi = s.max()
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f = np.sum(np.maximum(s - mid, 0.0) ** power) - 1.0
-        if abs(f) <= tol:
-            lo = hi = mid
-            break
-        if f > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    p = np.maximum(s - tau, 0.0) ** power
-    return p, tau + (alpha - 1.0) * zmax
-
-
-def _solve(z, params: EntmaxParams):
-    """(p, tau) of alpha-entmax, tau in the original score domain.
-
-    Dispatches to softmax (alpha=1, tau None), exact sparsemax (alpha=2),
-    the exact sorted 1.5-entmax solver, or bisection for any other alpha.
-    """
-    a = params.alpha
-    if a == 1.0:
-        return _softmax(z), None
-    if a == 1.5:
-        return _kernels.entmax15_core(z)
-    if a == 2.0:
-        return _sparsemax_core(z)
-    return _entmax_bisect_core(z, a, params.bisection_tol, params.bisection_max_iter)
-
-
 def entmax(z, params: EntmaxParams = DEFAULT_PARAMS) -> np.ndarray:
     """alpha-entmax probabilities of a score vector."""
-    return _solve(_as_scores(z), params)[0]
+    return _kernels.solve_rows(_as_scores(z)[None, :], params.alpha)[0][0]
 
 
 def entmax_tau(z, params: EntmaxParams = DEFAULT_PARAMS) -> float:
@@ -122,7 +59,7 @@ def entmax_tau(z, params: EntmaxParams = DEFAULT_PARAMS) -> float:
     z = _as_scores(z)
     if params.alpha == 1.0:
         raise ValueError("tau is undefined for alpha = 1 (softmax)")
-    return float(_solve(z, params)[1])
+    return float(_kernels.solve_rows(z[None, :], params.alpha)[1][0])
 
 
 def _as_mask(mask, n) -> np.ndarray:

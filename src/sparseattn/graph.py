@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from ._textio import read_rows, write_rows
-from .entmax import DEFAULT_PARAMS, SUPPORT_TOL, EntmaxParams, masked_entmax
+from .entmax import DEFAULT_PARAMS, SUPPORT_TOL, EntmaxParams
 from .errors import DataError
 
 
@@ -186,12 +186,7 @@ def attention_probs(sm: ScoreMatrix, params: EntmaxParams = DEFAULT_PARAMS) -> n
     """
     Z = attention_scores(sm)
     valid = admissible_mask(sm.n, sm.m, sm.causal)
-    if params.alpha == 1.5:
-        return _kernels.entmax15_masked_rows(Z, valid)
-    P = np.zeros_like(Z)
-    for i in range(sm.n):
-        P[i] = masked_entmax(Z[i], valid[i], params)
-    return P
+    return _kernels.entmax15_masked_rows(Z, valid, params.alpha)
 
 
 def extract_graph(sm: ScoreMatrix, params: EntmaxParams = DEFAULT_PARAMS) -> AttentionGraph:

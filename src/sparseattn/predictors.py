@@ -21,7 +21,7 @@ from .kmeans import Centroids, assign_topk_membership
 
 @dataclass(frozen=True)
 class BucketAssignment:
-    """Per-token bucket membership for one side (query or key).
+    """Per-token bucket membership of the queries or the keys.
 
     Every predictor assigns each token at least one bucket, except the
     routing baseline where unselected tokens legitimately end up with an
@@ -29,14 +29,11 @@ class BucketAssignment:
     """
 
     membership: np.ndarray
-    side: str = "pooled"
 
     def __post_init__(self):
         member = np.array(self.membership, dtype=bool)
         if member.ndim != 2:
             raise ValueError("membership must be a (tokens, B) boolean matrix")
-        if self.side not in ("query", "key", "pooled"):
-            raise ValueError(f"side must be query/key/pooled, got {self.side!r}")
         member.setflags(write=False)
         object.__setattr__(self, "membership", member)
 
@@ -51,12 +48,6 @@ class BucketAssignment:
     def token_buckets(self):
         """List of sorted tuples of 1-based bucket ids, one per token."""
         return [tuple(int(b) + 1 for b in np.flatnonzero(row)) for row in self.membership]
-
-    def with_side(self, side: str) -> "BucketAssignment":
-        return BucketAssignment(self.membership, side)
-
-    def restrict(self, rows, side: str) -> "BucketAssignment":
-        return BucketAssignment(self.membership[rows], side)
 
 
 @dataclass(frozen=True)
@@ -126,29 +117,29 @@ def assign_with_boundaries(X, cuts) -> BucketAssignment:
     return BucketAssignment(member)
 
 
-def quantize_assign(X, beta: int, side: str = "pooled") -> BucketAssignment:
+def quantize_assign(X, beta: int) -> BucketAssignment:
     """Balanced fixed-size binning of each projected dimension into beta bins.
 
     Every token lands in exactly r buckets (one per dimension) out of the
     B = r * beta total.  Pass the pooled query+key matrix so both sides
     share boundaries; ``quantize_qk`` does the pooling and splitting.
     """
-    return assign_with_boundaries(X, bin_boundaries(X, beta)).with_side(side)
+    return assign_with_boundaries(X, bin_boundaries(X, beta))
 
 
 def quantize_qk(Qp, Kp, beta: int):
     """Quantize queries and keys jointly (shared balanced bins per dimension)."""
     Qp = np.asarray(Qp, dtype=np.float64)
     Kp = np.asarray(Kp, dtype=np.float64)
-    pooled = quantize_assign(np.vstack([Qp, Kp]), beta)
+    member = quantize_assign(np.vstack([Qp, Kp]), beta).membership
     n = Qp.shape[0]
-    return pooled.restrict(slice(None, n), "query"), pooled.restrict(slice(n, None), "key")
+    return BucketAssignment(member[:n]), BucketAssignment(member[n:])
 
 
 def cluster_qk(Qp, Kp, centroids: Centroids, k: int):
     """Assign queries and keys to their k closest shared centroids."""
-    qa = BucketAssignment(assign_topk_membership(Qp, centroids, k), "query")
-    ka = BucketAssignment(assign_topk_membership(Kp, centroids, k), "key")
+    qa = BucketAssignment(assign_topk_membership(Qp, centroids, k))
+    ka = BucketAssignment(assign_topk_membership(Kp, centroids, k))
     return qa, ka
 
 

@@ -14,7 +14,8 @@ def entmax_bisect(z, alpha=1.5, tol=1e-12, iters=400):
     """Bisection on tau until sum [(alpha-1) z - tau]_+^(1/(alpha-1)) = 1.
 
     Returns (p, tau).  Bracket: the normalization sum is >= 1 at
-    max(s) - 1 and 0 at max(s), so the root lies between them.
+    max(s) - 1 and 0 at max(s), so the root lies between them.  With
+    tol = 0 it halves until the bracket spans adjacent floats.
     """
     z = np.asarray(z, dtype=np.float64)
     s = (alpha - 1.0) * z
@@ -26,10 +27,13 @@ def entmax_bisect(z, alpha=1.5, tol=1e-12, iters=400):
 
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if abs(total(mid) - 1.0) <= tol:
+        if not lo < mid < hi:  # the bracket cannot shrink any further
+            break
+        f = total(mid) - 1.0
+        if abs(f) <= tol:
             lo = hi = mid
             break
-        if total(mid) > 1.0:
+        if f > 0.0:
             lo = mid
         else:
             hi = mid
@@ -63,6 +67,29 @@ def entmax15_sort(z):
     tau = taus[support - 1]
     p = [max(v - tau, 0.0) for v in s]
     return np.array([q * q for q in p]), tau + 0.5 * zmax
+
+
+def sparsemax_sort(z):
+    """Sparsemax of one vector from the sort-based formula, in scalar loops.
+
+    With s = z - max z sorted descending and c_k the sum of its first k
+    entries, the support size is the number of k with 1 + k * s_(k) > c_k,
+    tau = (c_k - 1) / k at that size and p = [s - tau]_+.  Sums run left to
+    right, one addition at a time.  Returns (p, tau) with tau in the
+    unshifted domain: sum_j [z_j - tau]_+ = 1.
+    """
+    z = [float(v) for v in z]
+    zmax = max(z)
+    s = [v - zmax for v in z]
+    srt = sorted(s, reverse=True)
+    sums = []
+    total = 0.0
+    for v in srt:
+        total += v
+        sums.append(total)
+    support = sum(1 for k, (v, c) in enumerate(zip(srt, sums), start=1) if 1.0 + k * v > c)
+    tau = (sums[support - 1] - 1.0) / support
+    return np.array([max(v - tau, 0.0) for v in s]), tau + zmax
 
 
 def softmax(z):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -342,11 +344,31 @@ class TestAudit:
     def test_healthy_build_passes(self, alpha):
         assert audit_sparse_attention(seed=5, alpha=alpha) == []
 
-    def test_detects_a_wrong_sparse_kernel(self, monkeypatch):
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0])
+    def test_detects_a_wrong_sparse_kernel(self, monkeypatch, alpha):
         real = _kernels.sparse_rows_entmax15
         monkeypatch.setattr(
             _kernels, "sparse_rows_entmax15", lambda *a: real(*a) * (1.0 + 1e-6)
         )
-        failures = audit_sparse_attention(seed=5)
+        failures = audit_sparse_attention(seed=5, alpha=alpha)
         assert [f["head"] for f in failures] == list(range(len(AUDIT_HEADS)))
         assert all(f["max_abs_diff"] > 1e-9 for f in failures)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.25, 2.0])
+def test_attention_paths_solve_rows_in_batches_only(monkeypatch, alpha):
+    # both attention paths solve rows through the batched kernels only
+    def per_row(*args, **kwargs):
+        raise AssertionError("per-row entmax called")
+
+    monkeypatch.setattr(importlib.import_module("sparseattn.graph"), "masked_entmax",
+                        per_row, raising=False)
+    monkeypatch.setattr(importlib.import_module("sparseattn.blocks"), "entmax",
+                        per_row, raising=False)
+    params = EntmaxParams(alpha=alpha)
+    for causal in (False, True):
+        sm, _ = random_gold(n=12, causal=causal, seed=9)
+        full = AttentionGraph.from_dense(np.tri(12, dtype=bool) if causal
+                                         else np.ones((12, 12), dtype=bool), causal=causal)
+        np.testing.assert_allclose(sparse_attention_probs(sm, full, params),
+                                   attention_probs(sm, params), rtol=0, atol=1e-9)

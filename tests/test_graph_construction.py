@@ -121,7 +121,7 @@ class TestBucketsToGraph:
         B = data.draw(st.integers(1, 6))
         q = data.draw(arrays(bool, (n, B)))
         k = data.draw(arrays(bool, (m, B)))
-        graph = buckets_to_graph(BucketAssignment(q, "query"), BucketAssignment(k, "key"), causal)
+        graph = buckets_to_graph(BucketAssignment(q), BucketAssignment(k), causal)
         _same(graph, _reference(_shared_bucket_oracle(q, k, causal), causal))
 
 

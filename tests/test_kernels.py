@@ -1,9 +1,12 @@
-"""The 1.5-entmax kernels against a per-row, sort-based oracle.
+"""The entmax kernels against per-row oracles, at every alpha.
 
-Both batched kernels must reproduce the per-row solver bit for bit, so the
-checks use ``np.array_equal``.  Row lengths of 2**k and 2**k + 1 sit on the
-edges of the padded width groups; a patched ``_BATCH_CELLS`` puts chunk
-boundaries inside small inputs, and a few inputs exceed the real cap.
+``solve_rows`` is the one solver behind every path, so each batched row is
+checked against an oracle for its alpha: the scalar-loop sort formulas at
+alpha 1.5 and 2 (``np.array_equal``), a one-row ``entmax`` call and
+``oracles.entmax_bisect`` for the bisection alphas, and ``oracles.softmax``
+at alpha 1.  Row lengths of 2**k and 2**k + 1 sit on the edges of the
+padded width groups; a patched ``_BATCH_CELLS`` puts chunk boundaries
+inside small inputs, and a few inputs exceed the real cap.
 """
 
 from unittest import mock
@@ -14,12 +17,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseattn
-from oracles import entmax15_sort, entmax_bisect
-from sparseattn import _kernels
+from oracles import entmax15_sort, entmax_bisect, softmax, sparsemax_sort
+from sparseattn import EntmaxParams, _kernels, entmax, entmax_tau
 
 SETTINGS = settings(max_examples=80, deadline=None)
 EDGE_LENGTHS = [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]
 CAPS = [1, 2, 5, 64, _kernels._BATCH_CELLS]
+ALPHAS = [1.0, 1.25, 1.5, 2.0, 3.0]
+
+
+def _assert_row(p, z, alpha):
+    """p, a kernel's probabilities for the scores z, against alpha's oracle."""
+    if alpha == 1.5:
+        assert np.array_equal(p, entmax15_sort(z)[0])
+    elif alpha == 2.0:
+        assert np.array_equal(p, sparsemax_sort(z)[0])
+    elif alpha == 1.0:  # a padded row groups its sum differently
+        q = softmax(z)
+        assert np.all(np.abs(p - q) <= 1e-15 * q)
+    else:
+        assert np.array_equal(p, entmax(z, EntmaxParams(alpha=alpha)))
+        # a stopped bisection is off by at most its 1e-9 sum tolerance
+        assert np.max(np.abs(p - entmax_bisect(z, alpha=alpha, tol=0.0)[0])) <= 1e-9
 
 
 def test_backend_is_numpy():
@@ -30,9 +49,16 @@ def test_entmax15_handles_empty_rows():
     Z = np.zeros((3, 4))
     valid = np.zeros((3, 4), dtype=bool)
     valid[0] = True
-    P = _kernels.entmax15_masked_rows(Z, valid)
-    assert P[0].sum() == pytest.approx(1.0)
-    assert not P[1:].any()
+    for alpha in ALPHAS:
+        with np.errstate(divide="raise", invalid="raise"):
+            P = _kernels.entmax15_masked_rows(Z, valid, alpha)
+            S = np.full((2, 4), -np.inf)
+            S[0, 1] = 0.5
+            P2 = _kernels.solve_rows(S, alpha)[0]
+        assert P[0].sum() == pytest.approx(1.0)
+        assert not P[1:].any()
+        np.testing.assert_allclose(P2[0], [0.0, 1.0, 0.0, 0.0], rtol=0, atol=1e-9)
+        assert not P2[0, [0, 2, 3]].any() and not P2[1].any()
 
 
 def _qk(rng, n, m, d, ties):
@@ -49,22 +75,19 @@ def _csr(rng, m, lens):
     return indptr, np.concatenate(cols + [np.zeros(0)]).astype(np.int64)
 
 
-def _csr_oracle(Q, K, indptr, cols, scale):
-    vals = np.zeros(cols.size)
+def _assert_csr(vals, Q, K, indptr, cols, scale, alpha):
     for i in range(Q.shape[0]):
         lo, hi = indptr[i], indptr[i + 1]
         if hi > lo:
-            vals[lo:hi] = entmax15_sort((K[cols[lo:hi]] @ Q[i]) * scale)[0]
-    return vals
+            _assert_row(vals[lo:hi], (K[cols[lo:hi]] @ Q[i]) * scale, alpha)
 
 
-def _masked_oracle(Z, valid):
-    P = np.zeros(Z.shape)
+def _assert_masked(P, Z, valid, alpha):
+    assert not P[~valid].any()
     for i in range(Z.shape[0]):
         idx = np.flatnonzero(valid[i])
         if idx.size:
-            P[i, idx] = entmax15_sort(Z[i, idx])[0]
-    return P
+            _assert_row(P[i, idx], Z[i, idx], alpha)
 
 
 @SETTINGS
@@ -81,9 +104,10 @@ def test_sparse_rows_match_oracle(seed, m, lens, ties, cap):
     lens = [min(L, m) for L in lens]
     Q, K = _qk(rng, len(lens), m, 6, ties)
     indptr, cols = _csr(rng, m, lens)
-    with mock.patch.object(_kernels, "_BATCH_CELLS", cap):
-        got = _kernels.sparse_rows_entmax15(Q, K, indptr, cols, 0.5)
-    assert np.array_equal(got, _csr_oracle(Q, K, indptr, cols, 0.5))
+    for alpha in ALPHAS:
+        with mock.patch.object(_kernels, "_BATCH_CELLS", cap):
+            got = _kernels.sparse_rows_entmax15(Q, K, indptr, cols, 0.5, alpha)
+        _assert_csr(got, Q, K, indptr, cols, 0.5, alpha)
 
 
 @pytest.mark.parametrize("ties", [False, True])
@@ -96,8 +120,9 @@ def test_sparse_rows_match_oracle_beyond_batch_cap(ties):
     assert width_512 * 512 > _kernels._BATCH_CELLS  # this group needs two batches
     Q, K = _qk(rng, lens.size, m, 16, ties)
     indptr, cols = _csr(rng, m, lens)
-    got = _kernels.sparse_rows_entmax15(Q, K, indptr, cols, 0.25)
-    assert np.array_equal(got, _csr_oracle(Q, K, indptr, cols, 0.25))
+    for alpha in ALPHAS:
+        got = _kernels.sparse_rows_entmax15(Q, K, indptr, cols, 0.25, alpha)
+        _assert_csr(got, Q, K, indptr, cols, 0.25, alpha)
 
 
 @SETTINGS
@@ -121,9 +146,10 @@ def test_masked_rows_match_oracle(seed, n, m, kind, empty, ties, cap):
     else:
         valid = np.ones((n, m), dtype=bool)
     valid[[i for i in empty if i < n]] = False
-    with mock.patch.object(_kernels, "_BATCH_CELLS", cap):
-        got = _kernels.entmax15_masked_rows(Z, valid)
-    assert np.array_equal(got, _masked_oracle(Z, valid))
+    for alpha in ALPHAS:
+        with mock.patch.object(_kernels, "_BATCH_CELLS", cap):
+            got = _kernels.entmax15_masked_rows(Z, valid, alpha)
+        _assert_masked(got, Z, valid, alpha)
 
 
 @pytest.mark.parametrize("causal", [False, True])
@@ -133,7 +159,8 @@ def test_masked_rows_match_oracle_beyond_batch_cap(causal):
     Z = rng.normal(size=(n, n)) * 2.0
     valid = np.tri(n, dtype=bool) if causal else np.ones((n, n), dtype=bool)
     assert n * n > _kernels._BATCH_CELLS
-    assert np.array_equal(_kernels.entmax15_masked_rows(Z, valid), _masked_oracle(Z, valid))
+    for alpha in ALPHAS:
+        _assert_masked(_kernels.entmax15_masked_rows(Z, valid, alpha), Z, valid, alpha)
 
 
 @SETTINGS
@@ -147,7 +174,7 @@ def test_entmax15_core_matches_oracles(seed, size, spread, ties):
     z = np.random.default_rng(seed).normal(size=size) * spread
     if ties:
         z = np.round(z)
-    p, tau = _kernels.entmax15_core(z)
+    p, tau = entmax(z), entmax_tau(z)
     p_ref, tau_ref = entmax15_sort(z)
     assert np.array_equal(p, p_ref)
     assert tau == tau_ref

@@ -148,9 +148,9 @@ class TestBucketsToGraph:
         mq[0, 0] = mq[1, 1] = True
         mk = np.zeros((2, 4), dtype=bool)
         mk[0, 2] = mk[1, 3] = True
-        assert buckets_to_graph(BucketAssignment(mq, "query"), BucketAssignment(mk, "key")).edge_count == 0
-        all_one = BucketAssignment(np.ones((3, 1), dtype=bool), "query")
-        all_one_k = BucketAssignment(np.ones((4, 1), dtype=bool), "key")
+        assert buckets_to_graph(BucketAssignment(mq), BucketAssignment(mk)).edge_count == 0
+        all_one = BucketAssignment(np.ones((3, 1), dtype=bool))
+        all_one_k = BucketAssignment(np.ones((4, 1), dtype=bool))
         assert buckets_to_graph(all_one, all_one_k).edge_count == 12
 
     def test_matches_double_loop_oracle(self):
@@ -160,8 +160,8 @@ class TestBucketsToGraph:
         for causal in (False, True):
             mq = rng.random((4, 5)) < 0.4
             mk = rng.random((4, 5)) < 0.4
-            qa = BucketAssignment(mq, "query")
-            ka = BucketAssignment(mk, "key")
+            qa = BucketAssignment(mq)
+            ka = BucketAssignment(mk)
             got = buckets_to_graph(qa, ka, causal=causal).edge_set()
             want = bucket_intersection_edges(
                 [np.flatnonzero(r) for r in mq], [np.flatnonzero(r) for r in mk], causal
