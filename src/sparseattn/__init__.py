@@ -72,12 +72,11 @@ from .projection import (
     ProjectionHead,
     TrainConfig,
     build_pair_dataset,
+    draw_negatives,
     hinge_grad,
     hinge_loss,
     load_head,
-    project,
     project_rows,
-    sample_negative,
     save_head,
     train_projection,
 )

@@ -38,6 +38,8 @@ def read_rows(path, fields, shape, keyword=None, dtype=np.float64):
     if min(header) < 0:
         raise DataError(f"{path}:1: header fields must be non-negative")
     n, c = shape(*header)
+    if max(n, c) * np.dtype(dtype).itemsize >= 2**63:
+        raise DataError(f"{path}:1: header field too large")
     body = [line.split() for line in lines[1:]]
     if len(body) != n:
         raise DataError(f"{path}: header promises {n} rows, found {len(body)}")

@@ -120,17 +120,26 @@ def audit_sparse_consistency(
     Draws ``trials`` random score vectors, builds a random mask dominating
     each support, and records every (seedable) case where the masked and
     unmasked outputs disagree beyond 1e-9.  Returns the list of failures
-    (empty on a healthy build).
+    (empty on a healthy build).  Each trial draws its length, scores and
+    mask bits in turn; the vectors are solved together as rows padded with
+    -inf, in blocks of at most ``_kernels._BATCH_CELLS`` cells.
     """
-    params = EntmaxParams(alpha=alpha)
+    alpha = EntmaxParams(alpha=alpha).alpha
     rng = np.random.default_rng(seed)
     failures = []
-    for trial in range(trials):
-        n = int(rng.integers(min_len, max_len + 1))
-        z = rng.normal(0.0, np.sqrt(2.0), size=n)
-        b = support(entmax(z, params))
-        extra = ~b & (rng.random(n) < rng.random())
-        mask = b | extra
-        if not verify_sparse_consistency(z, mask, params):
-            failures.append({"trial": trial, "n": n, "extra_bits": int(extra.sum())})
+    step = max(1, _kernels._BATCH_CELLS // max_len)
+    for first in range(0, trials, step):
+        Z = np.full((min(step, trials - first), max_len), -np.inf)
+        bits = np.zeros(Z.shape, dtype=bool)
+        for z, bit in zip(Z, bits):
+            n = int(rng.integers(min_len, max_len + 1))
+            z[:n] = rng.normal(0.0, np.sqrt(2.0), size=n)
+            bit[:n] = rng.random(n) < rng.random()
+        p_full = _kernels.solve_rows(Z, alpha)[0]
+        b = support(p_full)
+        extra = ~b & bits
+        p_masked = _kernels.solve_rows(np.where(b | extra, Z, -np.inf), alpha)[0]
+        for t in np.flatnonzero(np.max(np.abs(p_masked - p_full), axis=1) > 1e-9):
+            n = int(np.isfinite(Z[t]).sum())
+            failures.append({"trial": first + int(t), "n": n, "extra_bits": int(extra[t].sum())})
     return failures

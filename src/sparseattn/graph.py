@@ -70,6 +70,8 @@ def _graph_shape(n, m, causal):
     m = int(m)
     if n < 1 or m < 1:
         raise ValueError("graph needs n >= 1 and m >= 1")
+    if n * m >= 2**63:
+        raise ValueError("graph has 2**63 cells or more (edges are int64 linear indices)")
     if causal and n != m:
         raise ValueError("causal graph requires n == m")
     return n, m

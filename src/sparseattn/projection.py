@@ -75,9 +75,10 @@ class TrainConfig:
 class PairDataset:
     """Positive query/key pairs plus the key pool used for negative sampling.
 
-    ``eligible[query_ids[p]]`` lists the indices (into ``keys``) that are
-    valid negatives for positive pair p: same instance, not connected to
-    the pair's query in the source graph.
+    ``eligible`` gives, per query id, the indices into ``keys`` that are
+    valid negatives for its pairs: same instance, not connected to the query
+    in the source graph.  They are stored flat: query q's are
+    ``eligible_keys[eligible_offsets[q]:eligible_offsets[q + 1]]``.
     """
 
     def __init__(self, queries, pos_keys, keys, query_ids, eligible, rng_seed=0):
@@ -85,9 +86,12 @@ class PairDataset:
         self.pos_keys = _frozen(pos_keys)
         self.keys = _frozen(keys)
         self.query_ids = _frozen(query_ids, dtype=np.int64)
-        self.eligible = [np.asarray(e, dtype=np.int64) for e in eligible]
+        eligible = [np.asarray(e, dtype=np.int64).ravel() for e in eligible]
+        self.eligible_keys = np.concatenate([np.zeros(0, np.int64), *eligible])
+        self.eligible_offsets = np.cumsum([0] + [e.size for e in eligible])
+        self.eligible_keys.setflags(write=False)  # both are fresh arrays: no copy needed
+        self.eligible_offsets.setflags(write=False)
         self.rng_seed = int(rng_seed)
-        self._rng = np.random.default_rng(self.rng_seed)
         if len(self.queries) != len(self.pos_keys) or len(self.queries) != len(self.query_ids):
             raise ValueError("queries, pos_keys and query_ids must have equal length")
 
@@ -98,22 +102,18 @@ class PairDataset:
     def d(self) -> int:
         return self.queries.shape[1]
 
-    @property
-    def positives(self):
-        """Iterate (q, k) vector pairs."""
-        return zip(self.queries, self.pos_keys)
-
 
 def build_pair_dataset(matrices, graphs, rng_seed=0, min_len=21) -> PairDataset:
     """Collect positive pairs from (ScoreMatrix, gold graph) instances.
 
     Only instances with at least ``min_len`` query tokens contribute
-    (default keeps instances longer than 20 tokens).  Negatives for a query
-    are all keys of the same instance it is not connected to.
+    (default keeps instances longer than 20 tokens).  Every edge is one
+    positive pair, in edge order; query ids number the distinct queries with
+    an edge in that order.  Negatives for a query are all keys of the same
+    instance it is not connected to.
     """
-    queries, pos_keys, key_rows, query_ids, eligible = [], [], [], [], []
-    qid_by_key = {}
-    key_offset = 0
+    q_rows, key_rows, q_idx, k_idx, query_ids, eligible = [], [], [], [], [], []
+    q_offset = key_offset = num_queries = 0
     kept = 0
     for sm, g in zip(matrices, graphs):
         if not isinstance(sm, ScoreMatrix) or not isinstance(g, AttentionGraph):
@@ -123,38 +123,47 @@ def build_pair_dataset(matrices, graphs, rng_seed=0, min_len=21) -> PairDataset:
         if sm.n < min_len:
             continue
         kept += 1
+        q_rows.append(sm.Q)
         key_rows.append(sm.K)
-        dense = g.to_dense()
-        for i, j in g.edges:
-            qkey = (key_offset, int(i))
-            if qkey not in qid_by_key:
-                qid_by_key[qkey] = len(eligible)
-                eligible.append(key_offset + np.flatnonzero(~dense[i]))
-            queries.append(sm.Q[i])
-            pos_keys.append(sm.K[j])
-            query_ids.append(qid_by_key[qkey])
+        edges = g.edges
+        rows, qid = np.unique(edges[:, 0], return_inverse=True)
+        q_idx.append(q_offset + edges[:, 0])
+        k_idx.append(key_offset + edges[:, 1])
+        query_ids.append(num_queries + qid)
+        free = ~g.to_dense()[rows]
+        cols = key_offset + np.nonzero(free)[1]
+        # (np.split of an instance without edges still yields one piece)
+        eligible += np.split(cols, np.cumsum(np.count_nonzero(free, axis=1))[:-1])[: rows.size]
+        num_queries += rows.size
+        q_offset += sm.n
         key_offset += sm.m
-    if not queries:
+    if not num_queries:
         raise ValueError(
             "no positive pairs collected"
             + ("" if kept else f" (no instance has n >= {min_len} tokens)")
         )
+    keys = np.concatenate(key_rows)
     return PairDataset(
-        np.asarray(queries),
-        np.asarray(pos_keys),
-        np.concatenate(key_rows, axis=0),
-        np.asarray(query_ids),
+        np.concatenate(q_rows)[np.concatenate(q_idx)],
+        keys[np.concatenate(k_idx)],
+        keys,
+        np.concatenate(query_ids),
         eligible,
         rng_seed=rng_seed,
     )
 
 
-def project(head: ProjectionHead, x) -> np.ndarray:
-    """W x + b for a single d-vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (head.d,):
-        raise ValueError(f"expected a vector of length {head.d}, got shape {x.shape}")
-    return head.W @ x + head.b
+def draw_negatives(ds: PairDataset, pairs, rng):
+    """Uniform negatives for positive pairs ``pairs``: (mask of the pairs
+    kept, their key indices into ``ds.keys``).  A pair whose query sees every
+    key is dropped; the rest take one draw each, in order, from a single
+    ``rng.integers`` call over their pool sizes.
+    """
+    qid = ds.query_ids[pairs]
+    lo = ds.eligible_offsets[qid]
+    sizes = ds.eligible_offsets[qid + 1] - lo
+    kept = sizes > 0
+    return kept, ds.eligible_keys[lo[kept] + rng.integers(sizes[kept])]
 
 
 def project_rows(head: ProjectionHead, X) -> np.ndarray:
@@ -165,51 +174,39 @@ def project_rows(head: ProjectionHead, X) -> np.ndarray:
     return X @ head.W.T + head.b
 
 
-def hinge_loss(q_proj, k_pos, k_neg, margin: float = 1.0) -> float:
-    """max(0, margin + ||q' - k'_P||^2 - ||q' - k'_N||^2)."""
-    q_proj = np.asarray(q_proj, dtype=np.float64)
-    dp = q_proj - np.asarray(k_pos, dtype=np.float64)
-    dn = q_proj - np.asarray(k_neg, dtype=np.float64)
-    return float(max(0.0, margin + dp @ dp - dn @ dn))
+def _slack(q_proj, k_pos, k_neg, margin):
+    """Per-row margin + ||q' - k'_P||^2 - ||q' - k'_N||^2, with q' - k'_P and q' - k'_N."""
+    dp = q_proj - k_pos
+    dn = q_proj - k_neg
+    return margin + np.einsum("ij,ij->i", dp, dp) - np.einsum("ij,ij->i", dn, dn), dp, dn
 
 
-def hinge_grad(head: ProjectionHead, q, k_pos, k_neg, margin: float = 1.0):
-    """Gradient of the hinge loss w.r.t. (W, b) through the shared projection.
-
-    On the flat side of the hinge (loss == 0) the zero subgradient is used.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    k_pos = np.asarray(k_pos, dtype=np.float64)
-    k_neg = np.asarray(k_neg, dtype=np.float64)
-    qp = project(head, q)
-    pp = project(head, k_pos)
-    np_ = project(head, k_neg)
-    dp = qp - pp
-    dn = qp - np_
-    slack = margin + dp @ dp - dn @ dn
-    gW = np.zeros_like(head.W)
-    gb = np.zeros_like(head.b)
-    if slack > 0.0:
-        gq = 2.0 * (dp - dn)
-        gp = -2.0 * dp
-        gn = 2.0 * dn
-        gW += np.outer(gq, q) + np.outer(gp, k_pos) + np.outer(gn, k_neg)
-        gb += gq + gp + gn  # identically zero: distances do not see b
-    return gW, gb
+def hinge_loss(q_proj, k_pos, k_neg, margin: float = 1.0) -> np.ndarray:
+    """Per-row max(0, margin + ||q' - k'_P||^2 - ||q' - k'_N||^2) of (B, r)
+    projected queries, positive keys and negative keys."""
+    rows = [np.asarray(a, dtype=np.float64) for a in (q_proj, k_pos, k_neg)]
+    return np.maximum(_slack(*rows, margin)[0], 0.0)
 
 
-def sample_negative(ds: PairDataset, pair_index: int, rng=None):
-    """Uniform negative key for positive pair ``pair_index``.
+def _hinge(W, X, margin):
+    """Per-row hinge losses of the (q, k_pos, k_neg) blocks stacked in the
+    (3B, d) matrix X, and their summed gradient w.r.t. W.  The bias drops out
+    of every distance, so its gradient is exactly zero and it is left out."""
+    P = X @ W.T
+    B = P.shape[0] // 3
+    slack, dp, dn = _slack(P[:B], P[B : 2 * B], P[2 * B :], margin)
+    # d loss / d (q', k'_P, k'_N), with the zero subgradient on the flat side
+    G = np.stack([dp - dn, -dp, dn]) * (2.0 * (slack > 0.0))[None, :, None]
+    return np.maximum(slack, 0.0), G.reshape(3 * B, -1).T @ X
 
-    Returns None when the pair's query is connected to every key (the pair
-    then contributes no loss).  Uses the dataset's own seeded stream when
-    no generator is passed, so the draw sequence is reproducible.
-    """
-    elig = ds.eligible[int(ds.query_ids[pair_index])]
-    if elig.size == 0:
-        return None
-    gen = ds._rng if rng is None else rng
-    return ds.keys[elig[int(gen.integers(elig.size))]]
+
+def hinge_grad(head: ProjectionHead, q, k_pos, k_neg, margin: float = 1.0) -> np.ndarray:
+    """Gradient w.r.t. W of the hinge losses of B (q, k_pos, k_neg) rows,
+    summed over the rows, through the shared projection.  (B, d) inputs;
+    on the flat side of the hinge (loss == 0) the zero subgradient is used.
+    The gradient w.r.t. b is identically zero."""
+    X = np.concatenate([np.asarray(a, dtype=np.float64) for a in (q, k_pos, k_neg)])
+    return _hinge(head.W, X, margin)[1]
 
 
 def train_projection(
@@ -221,8 +218,12 @@ def train_projection(
     """Mini-batch Adam on the hinge loss over shuffled positives.
 
     Deterministic for a fixed (dataset seed, config); init is W ~ U[-1/sqrt(d),
-    1/sqrt(d)], b = 0.  If ``loss_history`` is a list, the mean pre-update
-    loss of every batch is appended to it.
+    1/sqrt(d)], b = 0, and b stays 0 (its gradient is zero).  Each epoch
+    permutes the positives with the config's stream and draws every
+    negative of the epoch, pair by pair in permuted order, from the
+    dataset's stream; a batch with no negative takes no step.  If
+    ``loss_history`` is a list, the mean pre-update loss of every batch is
+    appended to it.
     """
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -233,55 +234,34 @@ def train_projection(
     rng_neg = np.random.default_rng(ds.rng_seed)
     bound = 1.0 / np.sqrt(d)
     W = rng.uniform(-bound, bound, size=(r, d))
-    b = np.zeros(r)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     mW = np.zeros_like(W)
     vW = np.zeros_like(W)
-    mb = np.zeros_like(b)
-    vb = np.zeros_like(b)
     step = 0
+    per = cfg.negatives_per_positive
+    batch_of = np.repeat(np.arange(len(ds)) // cfg.batch_size, per)
 
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(ds))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            gW = np.zeros_like(W)
-            gb = np.zeros_like(b)
-            total = 0.0
-            count = 0
-            head = ProjectionHead(W, b)
-            for p in batch:
-                q = ds.queries[p]
-                k_pos = ds.pos_keys[p]
-                for _ in range(cfg.negatives_per_positive):
-                    k_neg = sample_negative(ds, p, rng=rng_neg)
-                    if k_neg is None:
-                        continue
-                    total += hinge_loss(
-                        project(head, q), project(head, k_pos), project(head, k_neg),
-                        cfg.margin,
-                    )
-                    dW, db = hinge_grad(head, q, k_pos, k_neg, cfg.margin)
-                    gW += dW
-                    gb += db
-                    count += 1
-            if count == 0:
-                continue
-            gW /= count
-            gb /= count
+        pairs = np.repeat(rng.permutation(len(ds)), per)
+        kept, negs = draw_negatives(ds, pairs, rng_neg)
+        pairs, batches = pairs[kept], batch_of[kept]
+        # the triples of each batch form one run of ``pairs``
+        starts = np.flatnonzero(np.diff(batches, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [pairs.size]):
+            p = pairs[lo:hi]
+            X = np.concatenate([ds.queries[p], ds.pos_keys[p], ds.keys[negs[lo:hi]]])
+            losses, gW = _hinge(W, X, cfg.margin)
+            gW /= hi - lo
             if loss_history is not None:
-                loss_history.append(total / count)
+                loss_history.append(float(losses.sum()) / (hi - lo))
             step += 1
             mW = beta1 * mW + (1 - beta1) * gW
             vW = beta2 * vW + (1 - beta2) * gW * gW
-            mb = beta1 * mb + (1 - beta1) * gb
-            vb = beta2 * vb + (1 - beta2) * gb * gb
             corr1 = 1 - beta1 ** step
             corr2 = 1 - beta2 ** step
             W = W - cfg.learning_rate * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
-            b = b - cfg.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
-    return ProjectionHead(W, b)
+    return ProjectionHead(W, np.zeros(r))
 
 
 def save_head(head: ProjectionHead, path):

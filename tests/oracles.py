@@ -152,3 +152,63 @@ def central_difference_grad(loss_fn, W, h=1e-5):
         Wm[idx] -= h
         g[idx] = (loss_fn(Wp) - loss_fn(Wm)) / (2.0 * h)
     return g
+
+
+def train_projection_per_pair(
+    queries, pos_keys, keys, query_ids, eligible, *, r, margin, learning_rate, epochs,
+    batch_size, negatives_per_positive, rng_seed, negative_seed,
+):
+    """Mini-batch Adam on the contrastive hinge loss, one (query, positive,
+    negative) triple at a time.
+
+    W starts ~ U[-1/sqrt(d), 1/sqrt(d)] from default_rng(rng_seed), which
+    then permutes the pairs once per epoch.  Each negative is one scalar
+    ``integers`` draw from default_rng(negative_seed) over the pair's
+    ``eligible[query_ids[p]]`` key indices, skipped when that list is empty.
+    A batch's gradient is the mean over its triples of the outer-product
+    gradient on the slope of max(0, margin + ||Wq - Wk_P||^2 - ||Wq - Wk_N||^2);
+    a batch without triples takes no step.  The bias is left out: it
+    cancels in every distance.  Returns (W, mean loss of every batch).
+    """
+    d = queries.shape[1]
+    rng = np.random.default_rng(rng_seed)
+    rng_neg = np.random.default_rng(negative_seed)
+    bound = 1.0 / math.sqrt(d)
+    W = rng.uniform(-bound, bound, size=(r, d))
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    mW = np.zeros_like(W)
+    vW = np.zeros_like(W)
+    step = 0
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(len(queries))
+        for start in range(0, len(order), batch_size):
+            gW = np.zeros_like(W)
+            total = 0.0
+            count = 0
+            for p in order[start : start + batch_size]:
+                q, kp = queries[p], pos_keys[p]
+                pool = eligible[query_ids[p]]
+                for _ in range(negatives_per_positive):
+                    if len(pool) == 0:
+                        continue
+                    kn = keys[pool[int(rng_neg.integers(len(pool)))]]
+                    dp = W @ q - W @ kp
+                    dn = W @ q - W @ kn
+                    slack = margin + dp @ dp - dn @ dn
+                    total += max(0.0, slack)
+                    if slack > 0.0:
+                        gW += np.outer(2.0 * (dp - dn), q) - np.outer(2.0 * dp, kp)
+                        gW += np.outer(2.0 * dn, kn)
+                    count += 1
+            if count == 0:
+                continue
+            gW /= count
+            history.append(total / count)
+            step += 1
+            mW = beta1 * mW + (1 - beta1) * gW
+            vW = beta2 * vW + (1 - beta2) * gW * gW
+            W = W - learning_rate * (mW / (1 - beta1**step)) / (
+                np.sqrt(vW / (1 - beta2**step)) + eps
+            )
+    return W, history

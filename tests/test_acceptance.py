@@ -29,6 +29,7 @@ from sparseattn import (
     cli,
     combine_with_patterns,
     distance_pairing,
+    draw_negatives,
     entmax,
     expand_blocks,
     extract_graph,
@@ -38,12 +39,10 @@ from sparseattn import (
     kmeans_fit,
     pareto_frontier,
     PatternConfig,
-    project,
     project_rows,
     quantize_qk,
     recall,
     run_sweep,
-    sample_negative,
     select_blocks_v1,
     sparse_attention_probs,
     train_projection,
@@ -149,32 +148,35 @@ def test_criterion_03_end_to_end_exactness(causal_heads):
 
 
 def test_criterion_04_gradient_check():
+    # 100 off-hinge instances, each a batch of 1-4 triples: the summed
+    # gradient against central differences of the summed loss
     rng = np.random.default_rng(4)
     checked = 0
     worst = 0.0
     while checked < 100:
         r, d = 3, 7
+        B = int(rng.integers(1, 5))
         W = rng.normal(size=(r, d)) * 0.6
         b = rng.normal(size=r) * 0.2
-        q, kp, kn = rng.normal(size=(3, d))
+        q, kp, kn = rng.normal(size=(3, B, d))
         margin = float(rng.uniform(0.5, 1.5))
         head = ProjectionHead(W, b)
-        qp = project(head, q)
-        slack = margin + np.sum((qp - project(head, kp)) ** 2) - np.sum((qp - project(head, kn)) ** 2)
-        if abs(slack) <= 1e-3:
+        qp, pp, np_ = (project_rows(head, X) for X in (q, kp, kn))
+        slack = margin + np.sum((qp - pp) ** 2, axis=1) - np.sum((qp - np_) ** 2, axis=1)
+        if np.any(np.abs(slack) <= 1e-3):
             continue
         checked += 1
-        gW, _ = hinge_grad(head, q, kp, kn, margin)
+        gW = hinge_grad(head, q, kp, kn, margin)
 
         def loss_of(Wx):
             hx = ProjectionHead(Wx, b)
-            return hinge_loss(project(hx, q), project(hx, kp), project(hx, kn), margin)
+            return float(hinge_loss(*(project_rows(hx, X) for X in (q, kp, kn)), margin).sum())
 
         num = central_difference_grad(loss_of, W, h=1e-5)
         denom = np.maximum(1.0, np.maximum(np.abs(gW), np.abs(num)))
         worst = max(worst, float(np.max(np.abs(gW - num) / denom)))
     assert worst < 1e-4
-    _ok(4, f"100 off-hinge instances, max relative gradient error {worst:.2e}")
+    _ok(4, f"100 off-hinge batches, max relative gradient error {worst:.2e}")
 
 
 def test_criterion_05_separable_learning_five_seeds():
@@ -186,15 +188,13 @@ def test_criterion_05_separable_learning_five_seeds():
         head = train_projection(ds, TrainConfig(epochs=1, rng_seed=seed), r=2, loss_history=hist)
         tenth = max(1, len(hist) // 10)
         assert np.mean(hist[-tenth:]) <= np.mean(hist[:tenth])
-        rng = np.random.default_rng(seed + 1000)
-        closer = 0
-        for p in range(len(ds)):
-            kn = sample_negative(ds, p, rng=rng)
-            qp = project(head, ds.queries[p])
-            closer += np.linalg.norm(qp - project(head, ds.pos_keys[p])) < np.linalg.norm(
-                qp - project(head, kn)
-            )
-        frac = closer / len(ds)
+        kept, negs = draw_negatives(ds, np.arange(len(ds)), np.random.default_rng(seed + 1000))
+        assert kept.all()
+        qp = project_rows(head, ds.queries)
+        closer = np.linalg.norm(qp - project_rows(head, ds.pos_keys), axis=1) < np.linalg.norm(
+            qp - project_rows(head, ds.keys[negs]), axis=1
+        )
+        frac = float(np.mean(closer))
         assert frac >= 0.95, f"seed {seed}: separation {frac}"
     _ok(5, "one-epoch training separates >= 95% of triples on 5 seeds")
 

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseattn import (
     DataError,
@@ -142,12 +147,68 @@ class TestTensorFormat:
     (load_centroids, b"1 2\n1 inf\n"),  # non-finite value
     (read_graph, b"3 3 0 2\n0 1\n0 1\n"),  # an edge listed twice
     (read_graph, b"3 3 0 1\n0 99999999999999999999\n"),  # index beyond int64
+    (read_graph, b"4 9999999999999999999999999 0 1\n0 1\n"),  # m beyond int64
+    (read_graph, b"4611686018427387904 4 0 1\n0 1\n"),  # n * m beyond int64
+    (load_centroids, b"0 4611686018427387904\n"),  # a row beyond 2**63 bytes
+    (read_tensor, b"TENSOR 0 99999999999999999999\n"),  # d beyond int64
 ])
 def test_reader_rejects_defect(tmp_path, reader, content):
     path = tmp_path / "bad.txt"
     path.write_bytes(content)
     with pytest.raises(DataError):
         reader(path)
+
+
+# Fuzzing: arbitrary bytes, and files shaped like each format -- a header
+# whose fields follow the body's row and column counts or are replaced by an
+# odd word, a grid of mostly small integers, stray lines, odd separators and
+# line ends -- so that inputs get past the header into every later check.
+_SMALL = st.sampled_from(["0", "1", "2", "3", "4"])
+_ODD = st.sampled_from([
+    "-1", "+2", "007", "1.5", "-0.0", "1e400", "-1e-400", "inf", "-inf", "nan", "x", "0x10",
+    "1_0", "99999999999999999999", "9" * 25, "9" * 400, "4611686018427387904", "TENSOR", "é",
+])
+_WORD = st.one_of(_SMALL, _SMALL, _SMALL, _ODD)
+_SEP = st.sampled_from([" ", " ", "  ", "\t", "\x0b", "\x1c", "\x00"])
+_END = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c"])
+
+# per format: the header fields as functions of the body's (rows, columns),
+# and the usual column count
+_FORMATS = {
+    "read_tensor": (("TENSOR", lambda r, c: r, lambda r, c: c), 3),
+    "read_graph": (("4", "4", "0", lambda r, c: r), 2),
+    "load_head": ((lambda r, c: c - 1, lambda r, c: r), 4),
+    "load_centroids": ((lambda r, c: r, lambda r, c: c), 2),
+}
+
+
+@st.composite
+def _shaped(draw, reader):
+    fields, usual = _FORMATS[reader]
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.one_of(st.just(usual), st.integers(1, 4)))
+    exact = [str(f(rows, cols) if callable(f) else f) for f in fields]
+    header = [draw(st.one_of(st.just(w), st.just(w), st.just(w), _ODD)) for w in exact]
+    lines = [header] + [[draw(_WORD) for _ in range(cols)] for _ in range(rows)]
+    lines += draw(st.lists(st.lists(_WORD, max_size=5), max_size=2))
+    return "".join(
+        "".join(w + draw(_SEP) for w in line) + draw(_END) for line in lines
+    ).encode()
+
+
+@pytest.mark.parametrize("reader", [read_tensor, read_graph, load_head, load_centroids])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reader_loads_or_raises_data_error(reader, data):
+    content = data.draw(st.one_of(st.binary(max_size=80), _shaped(reader.__name__)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.txt")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        try:
+            reader(path)
+        except DataError:
+            pass
 
 
 class TestManifest:

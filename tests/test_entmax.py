@@ -4,12 +4,14 @@ import pytest
 from sparseattn import (
     ContractViolation,
     EntmaxParams,
+    audit_sparse_consistency,
     entmax,
     entmax_tau,
     masked_entmax,
     support,
     verify_sparse_consistency,
 )
+from sparseattn import _kernels
 
 from oracles import entmax_bisect, softmax
 
@@ -197,3 +199,54 @@ class TestSparseConsistency:
         assert support(entmax(z))[1]
         with pytest.raises(ContractViolation):
             verify_sparse_consistency(z, mask)
+
+
+def _audit_vector_by_vector(trials, seed, alpha, min_len=2, max_len=64):
+    """The audit one vector at a time: draw n, z and the mask bits, then
+    compare masked and full entmax through the public single-vector API."""
+    params = EntmaxParams(alpha=alpha)
+    rng = np.random.default_rng(seed)
+    failures = []
+    for trial in range(trials):
+        n = int(rng.integers(min_len, max_len + 1))
+        z = rng.normal(0.0, np.sqrt(2.0), size=n)
+        b = support(entmax(z, params))
+        extra = ~b & (rng.random(n) < rng.random())
+        if not verify_sparse_consistency(z, b | extra, params):
+            failures.append({"trial": trial, "n": n, "extra_bits": int(extra.sum())})
+    return failures
+
+
+def _solver_off_on_every_third_length(monkeypatch):
+    """Break the solver on rows whose unpadded length is a multiple of 3,
+    so the full and masked solves of a vector disagree there."""
+    solve = _kernels.solve_rows
+
+    def broken(S, alpha):
+        P, tau = solve(S, alpha)
+        finite = np.isfinite(S)
+        off = (finite.sum(axis=1) % 3 == 0)[:, None] & (P > 0.0)
+        return P + np.where(off, 1e-6, 0.0), tau
+
+    monkeypatch.setattr(_kernels, "solve_rows", broken)
+
+
+class TestAudit:
+    @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("trials, max_len", [(200, 64), (200, 700)])
+    def test_same_records_as_vector_by_vector(self, alpha, trials, max_len):
+        # max_len 700 spreads the trials over three padded blocks
+        got = audit_sparse_consistency(trials=trials, seed=5, alpha=alpha, max_len=max_len)
+        assert got == [] == _audit_vector_by_vector(trials, 5, alpha, max_len=max_len)
+
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("trials, max_len", [(200, 64), (200, 700)])
+    def test_broken_solver_same_records(self, monkeypatch, alpha, trials, max_len):
+        _solver_off_on_every_third_length(monkeypatch)
+        got = audit_sparse_consistency(trials=trials, seed=6, alpha=alpha, max_len=max_len)
+        assert got  # the defect shows
+        assert got == _audit_vector_by_vector(trials, 6, alpha, max_len=max_len)
+
+    def test_alpha_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            audit_sparse_consistency(trials=1, alpha=0.5)
