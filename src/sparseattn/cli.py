@@ -274,6 +274,18 @@ def _load_kmeans_dir(km_dir):
 
 def cmd_sweep(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
+    methods = cfg.get("methods", list(DEFAULT_GRIDS))
+    grids = cfg.get("grids", {})
+    if not isinstance(grids, dict):
+        raise ConfigError("'grids' must map method names to parameter grids")
+    pattern_grid = PatternGrid(
+        windows=cfg.get("windows", PatternGrid().windows),
+        global_counts=cfg.get("global_counts", (0,)),
+        global_mode=cfg.get("global_mode", "random"),
+    )
+    workers = int(_opt(args, cfg, "workers", 1))
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     mats = _load_instances(args, cfg, out, causal)
     meta = _load_meta(_opt(args, cfg, "graphs", os.path.join(out, "graphs")))
     if meta.get("alpha") != alpha:
@@ -285,16 +297,6 @@ def cmd_sweep(args) -> int:
         heads=_load_proj_dir(_opt(args, cfg, "proj", os.path.join(out, "proj"))),
         centroids=_load_kmeans_dir(_opt(args, cfg, "kmeans", os.path.join(out, "kmeans"))),
     )
-    methods = cfg.get("methods", list(DEFAULT_GRIDS))
-    grids = cfg.get("grids", {})
-    if not isinstance(grids, dict):
-        raise ConfigError("'grids' must map method names to parameter grids")
-    pattern_grid = PatternGrid(
-        windows=tuple(cfg.get("windows", PatternGrid().windows)),
-        global_counts=tuple(cfg.get("global_counts", (0,))),
-        global_mode=cfg.get("global_mode", "random"),
-    )
-    workers = int(_opt(args, cfg, "workers", 1))
     records = run_sweep(
         mats, methods, grids=grids, pattern_grid=pattern_grid,
         artifacts=artifacts, alpha=alpha, seed=seed, workers=workers,

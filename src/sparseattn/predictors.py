@@ -8,6 +8,11 @@ edge is predicted iff query and key meet in at least one bucket.
 
 Bucket ids are 1-based everywhere in the public surface; membership
 matrices use 0-based columns internally.
+
+Every graph here is built straight as its sorted linear edge indices: the
+pair rules (distance, shared bucket) one block of query rows at a time,
+the patterns and random blocks from index ranges.  No n x m array is
+allocated on the way.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .graph import AttentionGraph, admissible_mask, graph_union
+from .graph import AttentionGraph, _graph_shape, graph_union
 from .kmeans import Centroids, assign_topk_membership
 
 
@@ -67,15 +72,49 @@ class PatternConfig:
         object.__setattr__(self, "global_tokens", g)
 
 
+def _ranges(starts, lengths):
+    """Concatenation of ``arange(s, s + l)`` over the pairs of starts and lengths."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    # each output cell is its segment's start plus its offset in the segment
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(int(ends[-1]) if ends.size else 0)
+
+
+def _row_block_graph(n, m, causal, rule) -> AttentionGraph:
+    """Graph of the cells where ``rule(r0, r1, c1)`` holds.
+
+    ``rule`` returns a fresh boolean block over queries r0..r1-1 and keys
+    0..c1-1.  Blocks hold at most ``_kernels._BATCH_CELLS`` cells, a causal
+    block stops at its last row's diagonal and is cut to the lower
+    triangle, and row-major ``flatnonzero`` keeps the edges sorted.
+    """
+    n, m = _graph_shape(n, m, causal)
+    step = max(1, _kernels._BATCH_CELLS // m)
+    parts = []
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        c1 = r1 if causal else m
+        block = rule(r0, r1, c1)
+        if causal:
+            block &= np.tri(r1 - r0, c1, r0, dtype=bool)
+        flat = np.flatnonzero(block)
+        parts.append(flat + r0 * m if c1 == m else (flat // c1 + r0) * m + flat % c1)
+    lin = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return AttentionGraph._from_sorted_lin(n, m, lin, causal)
+
+
 def distance_pairing(Qp, Kp, t: float, causal: bool = False) -> AttentionGraph:
     """Edge (i, j) iff ||q'_i - k'_j||_2 <= t (ties included)."""
     if t < 0:
         raise ValueError("distance threshold must be >= 0")
     Qp = np.ascontiguousarray(Qp, dtype=np.float64)
     Kp = np.ascontiguousarray(Kp, dtype=np.float64)
-    dense = _kernels.pairwise_sqdist(Qp, Kp) <= t * t
-    dense &= admissible_mask(Qp.shape[0], Kp.shape[0], causal)
-    return AttentionGraph.from_dense(dense, causal=causal)
+    t2 = t * t
+    return _row_block_graph(
+        Qp.shape[0], Kp.shape[0], causal,
+        lambda r0, r1, c1: _kernels.pairwise_sqdist(Qp[r0:r1], Kp[:c1]) <= t2,
+    )
 
 
 def bin_boundaries(X, beta: int) -> np.ndarray:
@@ -150,27 +189,38 @@ def buckets_to_graph(qa: BucketAssignment, ka: BucketAssignment, causal: bool = 
             f"bucket universes differ: {qa.n_buckets} vs {ka.n_buckets}"
         )
     # exact in float32: each entry sums B < 2**24 products of 0/1
-    dense = qa.membership.astype(np.float32) @ ka.membership.astype(np.float32).T > 0
-    dense &= admissible_mask(qa.n_tokens, ka.n_tokens, causal)
-    return AttentionGraph.from_dense(dense, causal=causal)
+    mq = qa.membership.astype(np.float32)
+    mk = ka.membership.astype(np.float32)
+    return _row_block_graph(
+        qa.n_tokens, ka.n_tokens, causal,
+        lambda r0, r1, c1: mq[r0:r1] @ mk[:c1].T > 0,
+    )
 
 
 def window_global_graph(n: int, m: int, pc: PatternConfig) -> AttentionGraph:
     """Diagonal band of width +-floor(w/2) plus rows/columns of global tokens."""
+    n, m = _graph_shape(n, m, pc.causal)
     for g in pc.global_tokens:
         if g >= n:
             raise ValueError(f"global token {g} out of range for n={n}")
-    dense = np.zeros((n, m), dtype=bool)
+    rows = np.arange(n, dtype=np.int64)
     if pc.window > 0:
         half = pc.window // 2
-        # |i - j| <= half: below the +half diagonal, not below the -half one
-        dense |= np.tri(n, m, half, dtype=bool) & ~np.tri(n, m, -half - 1, dtype=bool)
-    for g in pc.global_tokens:
-        dense[g, :] = True  # global token attends everywhere
-        if g < m:
-            dense[:, g] = True  # and is attended by everyone
-    dense &= admissible_mask(n, m, pc.causal)
-    return AttentionGraph.from_dense(dense, causal=pc.causal)
+        lo = np.maximum(rows - half, 0)
+        hi = np.minimum(rows if pc.causal else rows + half, m - 1)
+        lin = _ranges(rows * m + lo, np.maximum(hi - lo + 1, 0))
+    else:
+        lin = np.empty(0, dtype=np.int64)
+    if pc.global_tokens:
+        g = np.array(pc.global_tokens, dtype=np.int64)
+        # a global token attends to every admissible key ...
+        attends = _ranges(g * m, g + 1 if pc.causal else np.full(g.size, m))
+        # ... and every admissible query attends to it
+        cols = g[g < m]
+        first = cols if pc.causal else np.zeros_like(cols)
+        attended = _ranges(first, n - first) * m + np.repeat(cols, n - first)
+        lin = np.unique(np.concatenate([lin, attends, attended]))
+    return AttentionGraph._from_sorted_lin(n, m, lin, pc.causal)
 
 
 def bigbird_random_blocks(
@@ -184,28 +234,36 @@ def bigbird_random_blocks(
     """Uniformly sampled distinct off-diagonal blocks, expanded to edges.
 
     Diagonal blocks are excluded (the window pattern supplies those);
-    sampling is without replacement and deterministic per seed.
+    sampling is without replacement and deterministic per seed.  The
+    candidate blocks are numbered row-major, and a drawn number is mapped
+    back to its (block row, block column) through the count per block row.
     """
     if num_blocks < 0:
         raise ValueError("num_blocks must be >= 0")
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
+    n, m = _graph_shape(n, m, causal)
     nb = -(-n // block_size)
     mb = -(-m // block_size)
-    bi, bj = np.meshgrid(np.arange(nb), np.arange(mb), indexing="ij")
-    keep = bi != bj
-    if causal:
-        keep &= bj < bi
-    cells = np.stack([bi[keep], bj[keep]], axis=1)
+    block_rows = np.arange(nb, dtype=np.int64)
+    # candidates per block row: bj < bi if causal (nb == mb), else bj != bi
+    per_row = block_rows if causal else mb - (block_rows < mb)
+    ends = np.cumsum(per_row)
     rng = np.random.default_rng(seed)
-    take = min(num_blocks, len(cells))
-    chosen = cells[rng.choice(len(cells), size=take, replace=False)] if take else cells[:0]
-    dense = np.zeros((n, m), dtype=bool)
-    for cbi, cbj in chosen:
-        dense[cbi * block_size : (cbi + 1) * block_size,
-              cbj * block_size : (cbj + 1) * block_size] = True
-    dense &= admissible_mask(n, m, causal)
-    return AttentionGraph.from_dense(dense, causal=causal)
+    drawn = rng.choice(int(ends[-1]), size=min(num_blocks, int(ends[-1])), replace=False)
+    bi = np.searchsorted(ends, drawn, side="right")
+    bj = drawn - (ends[bi] - per_row[bi])
+    if not causal:
+        bj += bj >= bi  # skip the diagonal block
+    # one run of keys per (block, row); the runs are disjoint, so sorting
+    # their starts sorts the edges
+    r0, c0 = bi * block_size, bj * block_size
+    height = np.minimum(r0 + block_size, n) - r0
+    width = np.minimum(c0 + block_size, m) - c0
+    starts = _ranges(r0, height) * m + np.repeat(c0, height)
+    lengths = np.repeat(width, height)
+    order = np.argsort(starts)
+    return AttentionGraph._from_sorted_lin(n, m, _ranges(starts[order], lengths[order]), causal)
 
 
 def lsh_assign(X, rounds: int, num_buckets: int, seed: int = 0) -> BucketAssignment:

@@ -6,6 +6,10 @@ Cells are independent; with ``workers > 1`` they run in separate processes.
 Per-cell RNG streams are derived from the master seed and the cell key, and
 records are sorted canonically before writing, so parallel execution cannot
 change any output byte.
+
+What cells share is computed once per ``run_sweep`` call and dropped when
+it returns: the gold graphs and projected queries/keys of every instance,
+and each pattern graph without random global tokens.
 """
 
 import csv
@@ -20,18 +24,18 @@ import numpy as np
 
 from .entmax import EntmaxParams
 from .errors import ConfigError
-from .graph import AttentionGraph, extract_graph, recall, sparsity
+from .graph import extract_graph, graph_union, recall, sparsity
 from .kmeans import Centroids
 from .predictors import (
     PatternConfig,
     bigbird_random_blocks,
     buckets_to_graph,
     cluster_qk,
-    combine_with_patterns,
     distance_pairing,
     lsh_assign,
     quantize_qk,
     routing_assign,
+    window_global_graph,
 )
 from .projection import ProjectionHead, project_rows
 
@@ -47,6 +51,9 @@ METHODS = (
 )
 
 _NEEDS_PROJECTION = {"distance", "quantization", "clustering", "routing", "lsh"}
+
+# methods whose prediction draws from the per-(cell, instance) RNG
+_DRAWS = {"lsh", "bigbird"}
 
 # grid parameter that names the centroid count B of a centroid-based method
 _CENTROID_GRID_KEY = {"clustering": "B", "routing": "c"}
@@ -89,6 +96,15 @@ class ParetoPoint:
     recall: float
 
 
+def _int_list(name, values) -> tuple:
+    """``values`` as a tuple of ints; a list or tuple of integers, else ConfigError."""
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values
+    ):
+        raise ConfigError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class PatternGrid:
     windows: tuple = DEFAULT_WINDOWS
@@ -98,8 +114,16 @@ class PatternGrid:
     def __post_init__(self):
         if self.global_mode not in ("random", "prefix"):
             raise ConfigError(f"global_mode must be random or prefix, got {self.global_mode!r}")
-        if not self.windows:
+        windows = _int_list("windows", self.windows)
+        if not windows:
             raise ConfigError("pattern grid needs at least one window size")
+        if any(w < 0 or (w > 0 and w % 2 == 0) for w in windows):
+            raise ConfigError(f"windows must be 0 or odd positive integers, got {list(windows)}")
+        global_counts = _int_list("global_counts", self.global_counts)
+        if any(g < 0 for g in global_counts):
+            raise ConfigError(f"global_counts must be nonnegative integers, got {list(global_counts)}")
+        object.__setattr__(self, "windows", windows)
+        object.__setattr__(self, "global_counts", global_counts)
 
 
 @dataclass
@@ -139,11 +163,11 @@ def _build_cells(methods, grids, pattern_grid: PatternGrid):
         combos = [dict(zip(names, vals))
                   for vals in product(*(grid[name] for name in names))] or [{}]
         # longformer's own hyperparameter is the global-token count
-        g_axis = (0,) if method == "longformer" else tuple(pattern_grid.global_counts)
+        g_axis = (0,) if method == "longformer" else pattern_grid.global_counts
         for params in combos:
             for w in pattern_grid.windows:
                 for g in g_axis:
-                    cells.append((method, params, int(w), int(g)))
+                    cells.append((method, params, w, g))
     return cells
 
 
@@ -174,19 +198,39 @@ def _validate_artifacts(instances, methods, grids, artifacts: SweepArtifacts):
                         )
 
 
-def _cell_rng(master_seed, method, params, w, g, instance_idx):
-    crc = zlib.crc32(f"{method}|{_hp_str(params)}|w={w}|g={g}".encode())
-    return np.random.default_rng((master_seed, crc, instance_idx))
+@dataclass
+class _SweepState:
+    """Everything the cells of one ``run_sweep`` call share.
+
+    ``projections[idx]`` holds instance idx's projected (Q, K), or None when
+    no swept method projects; ``patterns`` memoises the pattern graph per
+    (PatternConfig, n, m) as cells ask for it.
+    """
+
+    instances: list
+    golds: list
+    artifacts: SweepArtifacts
+    projections: list
+    seed: int
+    global_mode: str
+    patterns: dict = field(default_factory=dict)
+
+    def pattern(self, pc: PatternConfig, n, m):
+        key = (pc, n, m)
+        graph = self.patterns.get(key)
+        if graph is None:
+            graph = self.patterns[key] = window_global_graph(n, m, pc)
+        return graph
 
 
-def _predict(method, params, sm, artifacts, rng):
+def _predict(method, params, sm, artifacts, proj, rng):
+    """The learned graph of one instance, or None for the pattern-only
+    methods (window, longformer)."""
     key = (sm.layer, sm.head)
     if method in _NEEDS_PROJECTION:
-        head: ProjectionHead = artifacts.heads[key]
-        Qp = project_rows(head, sm.Q)
-        Kp = project_rows(head, sm.K)
+        Qp, Kp = proj
     if method == "window" or method == "longformer":
-        return AttentionGraph(sm.n, sm.m, (), causal=sm.causal)
+        return None
     if method == "distance":
         return distance_pairing(Qp, Kp, params["t"], causal=sm.causal)
     if method == "quantization":
@@ -215,24 +259,28 @@ def _predict(method, params, sm, artifacts, rng):
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _eval_cell(cell, instances, golds, artifacts, seed, global_mode):
+def _eval_cell(cell, state: _SweepState):
     method, params, w, g_axis = cell
     g_count = int(params["num_globals"]) if method == "longformer" else g_axis
+    random_globals = g_count > 0 and state.global_mode == "random"
+    # the per-(cell, instance) generator, made only where it is drawn from
+    crc = None
+    if random_globals or method in _DRAWS:
+        crc = zlib.crc32(f"{method}|{_hp_str(params)}|w={w}|g={g_axis}".encode())
     sums = {}
-    for idx, (sm, gold) in enumerate(zip(instances, golds)):
-        rng = _cell_rng(seed, method, params, w, g_axis, idx)
-        if g_count > 0:
-            limit = min(sm.n, sm.m)
-            take = min(g_count, limit)
-            if global_mode == "prefix":
-                globals_ = tuple(range(take))
-            else:
-                globals_ = tuple(int(t) for t in rng.choice(limit, size=take, replace=False))
+    for idx, (sm, gold) in enumerate(zip(state.instances, state.golds)):
+        rng = None if crc is None else np.random.default_rng((state.seed, crc, idx))
+        limit = min(sm.n, sm.m)
+        take = min(g_count, limit)
+        if random_globals:  # drawn per (cell, instance): nothing to share
+            globals_ = tuple(int(t) for t in rng.choice(limit, size=take, replace=False))
+            pc = PatternConfig(window=w, global_tokens=globals_, causal=sm.causal)
+            pattern = window_global_graph(sm.n, sm.m, pc)
         else:
-            globals_ = ()
-        pc = PatternConfig(window=w, global_tokens=globals_, causal=sm.causal)
-        learned = _predict(method, params, sm, artifacts, rng)
-        combined = combine_with_patterns(learned, pc)
+            pc = PatternConfig(window=w, global_tokens=tuple(range(take)), causal=sm.causal)
+            pattern = state.pattern(pc, sm.n, sm.m)
+        learned = _predict(method, params, sm, state.artifacts, state.projections[idx], rng)
+        combined = pattern if learned is None else graph_union(learned, pattern)
         key = (sm.layer, sm.head)
         s_sum, r_sum, count = sums.get(key, (0.0, 0.0, 0))
         sums[key] = (s_sum + sparsity(combined), r_sum + recall(combined, gold), count + 1)
@@ -240,7 +288,7 @@ def _eval_cell(cell, instances, golds, artifacts, seed, global_mode):
     hp["window"] = w
     if g_count > 0 and method != "longformer":
         hp["globals"] = g_count
-        hp["global_mode"] = global_mode
+        hp["global_mode"] = state.global_mode
     records = []
     for (layer, head), (s_sum, r_sum, count) in sorted(sums.items()):
         records.append(
@@ -249,8 +297,19 @@ def _eval_cell(cell, instances, golds, artifacts, seed, global_mode):
     return records
 
 
-def _eval_cell_star(args):
-    return _eval_cell(*args)
+# A pool worker's copy of the sweep state, set once by ``_init_worker``.
+# Only pool processes set it, and they exit with the pool inside
+# ``run_sweep``.
+_worker_state = None
+
+
+def _init_worker(state):
+    global _worker_state
+    _worker_state = state
+
+
+def _eval_cell_in_worker(cell):
+    return _eval_cell(cell, _worker_state)
 
 
 def run_sweep(
@@ -266,8 +325,10 @@ def run_sweep(
     """Evaluate every cell; returns canonically sorted SweepRecords.
 
     Ground-truth graphs are extracted once per instance with the given
-    alpha.  Raises ConfigError before any evaluation if a method lacks its
-    fitted artifacts.
+    alpha, and queries/keys are projected once per instance.  Raises
+    ConfigError before any evaluation if a method lacks its fitted
+    artifacts.  With ``workers > 1`` each pool process receives the shared
+    state once, through the pool's initializer.
     """
     instances = list(instances)
     if not instances:
@@ -279,14 +340,21 @@ def run_sweep(
     cells = _build_cells(methods, grids, pattern_grid)
     params = EntmaxParams(alpha=alpha)
     golds = [extract_graph(sm, params) for sm in instances]
-
-    jobs = [(cell, instances, golds, artifacts, seed, pattern_grid.global_mode)
-            for cell in cells]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_eval_cell_star, jobs))
+    if _NEEDS_PROJECTION.intersection(methods):
+        projections = []
+        for sm in instances:
+            head: ProjectionHead = artifacts.heads[(sm.layer, sm.head)]
+            projections.append((project_rows(head, sm.Q), project_rows(head, sm.K)))
     else:
-        per_cell = [_eval_cell_star(job) for job in jobs]
+        projections = [None] * len(instances)
+    state = _SweepState(instances, golds, artifacts, projections, seed, pattern_grid.global_mode)
+
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(state,)) as pool:
+            per_cell = list(pool.map(_eval_cell_in_worker, cells))
+    else:
+        per_cell = [_eval_cell(cell, state) for cell in cells]
     records = [rec for cell_records in per_cell for rec in cell_records]
     records.sort(key=_record_key)
     return records

@@ -212,3 +212,116 @@ def train_projection_per_pair(
                 np.sqrt(vW / (1 - beta2**step)) + eps
             )
     return W, history
+
+
+def bigbird_random_blocks_dense(n, m, num_blocks, block_size=1, seed=0, causal=False):
+    """Sorted linear edge indices of the random off-diagonal blocks, from an
+    explicit grid of candidate blocks and a dense mask filled block by block.
+
+    The candidates are every (block row, block column) pair off the
+    diagonal (below it if causal) in row-major order; ``num_blocks`` of them
+    (all, if fewer exist) are drawn with one ``choice(..., replace=False)``
+    on ``default_rng(seed)``.
+    """
+    nb = -(-n // block_size)
+    mb = -(-m // block_size)
+    bi, bj = np.meshgrid(np.arange(nb), np.arange(mb), indexing="ij")
+    keep = bi != bj
+    if causal:
+        keep &= bj < bi
+    cells = np.stack([bi[keep], bj[keep]], axis=1)
+    rng = np.random.default_rng(seed)
+    take = min(num_blocks, len(cells))
+    chosen = cells[rng.choice(len(cells), size=take, replace=False)] if take else cells[:0]
+    dense = np.zeros((n, m), dtype=bool)
+    for cbi, cbj in chosen:
+        dense[cbi * block_size : (cbi + 1) * block_size,
+              cbj * block_size : (cbj + 1) * block_size] = True
+    if causal:
+        dense &= np.tri(n, m, dtype=bool)
+    return np.flatnonzero(dense)
+
+
+def _hp_text(hp):
+    return "|".join(f"{k}={hp[k]!r}" if isinstance(hp[k], float) else f"{k}={hp[k]}"
+                    for k in sorted(hp))
+
+
+def run_sweep_uncached(instances, methods, grids, windows, global_counts, global_mode,
+                       artifacts, alpha, seed):
+    """The sweep as one plain loop over cells and instances.
+
+    Every cell projects every instance again and builds its pattern with
+    ``combine_with_patterns``; each (cell, instance) gets a fresh
+    ``default_rng((seed, crc32 of the cell key, instance index))``.  Unlike
+    the rest of this module it runs the package's predictors, through
+    public names only: it pins what the sweep does with them, not the
+    predictors themselves.  ``grids`` must give every parameter of every
+    method.
+    """
+    import itertools
+    import zlib
+
+    import sparseattn as sa
+
+    golds = [sa.extract_graph(sm, sa.EntmaxParams(alpha=alpha)) for sm in instances]
+    records = []
+    for method in methods:
+        grid = grids.get(method, {})
+        names = sorted(grid)
+        combos = [dict(zip(names, vals))
+                  for vals in itertools.product(*(grid[k] for k in names))] or [{}]
+        g_axis = (0,) if method == "longformer" else tuple(global_counts)
+        for params, w, g_axis_value in itertools.product(combos, windows, g_axis):
+            g_count = params["num_globals"] if method == "longformer" else g_axis_value
+            crc = zlib.crc32(f"{method}|{_hp_text(params)}|w={w}|g={g_axis_value}".encode())
+            sums = {}
+            for idx, (sm, gold) in enumerate(zip(instances, golds)):
+                rng = np.random.default_rng((seed, crc, idx))
+                limit = min(sm.n, sm.m)
+                take = min(g_count, limit)
+                if g_count > 0 and global_mode == "random":
+                    globals_ = tuple(int(t) for t in rng.choice(limit, size=take, replace=False))
+                else:
+                    globals_ = tuple(range(take))
+                key = (sm.layer, sm.head)
+                head = artifacts.heads.get(key)
+                if head is not None:
+                    Qp, Kp = sa.project_rows(head, sm.Q), sa.project_rows(head, sm.K)
+                if method in ("window", "longformer"):
+                    learned = sa.AttentionGraph(sm.n, sm.m, (), causal=sm.causal)
+                elif method == "distance":
+                    learned = sa.distance_pairing(Qp, Kp, params["t"], causal=sm.causal)
+                elif method == "bigbird":
+                    learned = sa.bigbird_random_blocks(
+                        sm.n, sm.m, params["num_blocks"], block_size=1,
+                        seed=int(rng.integers(2**63)), causal=sm.causal)
+                else:
+                    if method == "quantization":
+                        qa, ka = sa.quantize_qk(Qp, Kp, params["beta"])
+                    elif method == "clustering":
+                        qa, ka = sa.cluster_qk(
+                            Qp, Kp, artifacts.centroids[key + (params["B"],)], params["k"])
+                    elif method == "routing":
+                        c = artifacts.centroids[key + (params["c"],)]
+                        topk = -(-sm.n // params["c"])
+                        qa = sa.routing_assign(Qp, c, min(topk, sm.n))
+                        ka = sa.routing_assign(Kp, c, min(topk, sm.m))
+                    else:  # lsh
+                        hash_seed = int(rng.integers(2**63))
+                        qa = sa.lsh_assign(Qp, params["rounds"], params["num_buckets"], seed=hash_seed)
+                        ka = sa.lsh_assign(Kp, params["rounds"], params["num_buckets"], seed=hash_seed)
+                    learned = sa.buckets_to_graph(qa, ka, causal=sm.causal)
+                pc = sa.PatternConfig(window=w, global_tokens=globals_, causal=sm.causal)
+                combined = sa.combine_with_patterns(learned, pc)
+                s_sum, r_sum, count = sums.get(key, (0.0, 0.0, 0))
+                sums[key] = (s_sum + sa.sparsity(combined),
+                             r_sum + sa.recall(combined, gold), count + 1)
+            hp = dict(params, window=w)
+            if g_count > 0 and method != "longformer":
+                hp.update(globals=g_count, global_mode=global_mode)
+            for (layer, head_idx), (s_sum, r_sum, count) in sorted(sums.items()):
+                records.append(sa.SweepRecord(method, hp, layer, head_idx,
+                                              s_sum / count, r_sum / count))
+    records.sort(key=lambda r: (r.method, _hp_text(r.hyperparams), r.layer, r.head))
+    return records

@@ -201,6 +201,29 @@ class TestExitCodes:
         assert cli.main(["extract"] + base) == 0
         assert cli.main(["sweep"] + base) == 2  # no trained projection
 
+    @pytest.mark.parametrize("extra, setting", [
+        (["--workers", "0"], {}),
+        (["--workers", "-2"], {}),
+        ([], {"global_counts": [-1]}),
+        ([], {"windows": "37"}),
+        ([], {"windows": [0, 2]}),
+    ], ids=["workers-0", "workers-negative", "negative-globals", "windows-string", "even-window"])
+    def test_invalid_sweep_setting_rejected_before_any_work(self, exp, monkeypatch, extra, setting):
+        tmp_path, cfg_path, out, _ = exp
+        cfg = json.loads(cfg_path.read_text())
+        cfg.update(setting)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep read its data before rejecting the setting")
+
+        monkeypatch.setattr(cli, "load_qk", no_work)
+        monkeypatch.setattr(cli, "run_sweep", no_work)
+        argv = ["sweep", "--config", str(bad), "--out", out, "--seed", "5"] + extra
+        assert cli.main(argv) == 2
+        assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
     def test_verify_reports_violations_with_exit_4(self, monkeypatch):
         monkeypatch.setattr(
             cli, "audit_sparse_consistency",

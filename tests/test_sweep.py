@@ -29,7 +29,7 @@ from sparseattn import (
 )
 from sparseattn.projection import TrainConfig
 
-from oracles import pareto_brute_force
+from oracles import pareto_brute_force, run_sweep_uncached
 
 
 class TestParetoFrontier:
@@ -180,6 +180,57 @@ class TestRunSweep:
         by_g = {rec.hyperparams["num_globals"]: rec for rec in recs}
         assert by_g[8].recall >= by_g[0].recall
         assert by_g[8].sparsity <= by_g[0].sparsity
+
+
+ALL_METHODS = ["window", "distance", "quantization", "clustering", "routing", "lsh",
+               "bigbird", "longformer"]
+FULL_GRIDS = {
+    "distance": {"t": [1.0, 2.5]},
+    "quantization": {"beta": [1, 3]},
+    "clustering": {"B": [2, 4], "k": [1, 2]},
+    "routing": {"c": [2, 4]},
+    "lsh": {"num_buckets": [2, 4], "rounds": [1, 2]},
+    "bigbird": {"num_blocks": [3, 500]},
+    "longformer": {"num_globals": [0, 3]},
+}
+
+
+class TestAgainstUncachedSweep:
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("global_mode", ["random", "prefix"])
+    def test_records_and_csv_bytes_equal(self, tmp_path, causal, global_mode):
+        mats, _, arts = small_setup(causal=causal)
+        windows, global_counts, seed = (0, 3), (0, 2), 11
+        want = run_sweep_uncached(mats, ALL_METHODS, FULL_GRIDS, windows, global_counts,
+                                  global_mode, arts, alpha=1.5, seed=seed)
+        want_csv = tmp_path / "want.csv"
+        write_sweep_csv(want, want_csv)
+        grid = PatternGrid(windows=windows, global_counts=global_counts,
+                           global_mode=global_mode)
+        for workers in (1, 2):
+            got = run_sweep(mats, ALL_METHODS, grids=FULL_GRIDS, pattern_grid=grid,
+                            artifacts=arts, alpha=1.5, seed=seed, workers=workers)
+            assert got == want
+            got_csv = tmp_path / f"got{workers}.csv"
+            write_sweep_csv(got, got_csv)
+            assert got_csv.read_bytes() == want_csv.read_bytes()
+
+
+class TestPatternGridValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"windows": "37"}, {"windows": 3}, {"windows": (0, 2)}, {"windows": (-1,)},
+        {"windows": (3.0,)}, {"windows": (True,)}, {"windows": ()},
+        {"global_counts": (-1,)}, {"global_counts": "2"}, {"global_counts": (0.5,)},
+        {"global_mode": "first"},
+    ])
+    def test_invalid_settings_raise_config_error(self, kwargs):
+        with pytest.raises(ConfigError):
+            PatternGrid(**kwargs)
+
+    def test_lists_become_int_tuples(self):
+        grid = PatternGrid(windows=[0, np.int64(3)], global_counts=[2])
+        assert grid.windows == (0, 3) and grid.global_counts == (2,)
+        assert all(type(w) is int for w in grid.windows)
 
 
 class TestReports:
