@@ -34,6 +34,7 @@ from .sweep import (
     DEFAULT_GRIDS,
     PatternGrid,
     SweepArtifacts,
+    _validate_grids,
     per_method_frontiers,
     read_sweep_csv,
     report,
@@ -276,8 +277,7 @@ def cmd_sweep(args) -> int:
     cfg, seed, alpha, causal, out = _common(args)
     methods = cfg.get("methods", list(DEFAULT_GRIDS))
     grids = cfg.get("grids", {})
-    if not isinstance(grids, dict):
-        raise ConfigError("'grids' must map method names to parameter grids")
+    _validate_grids(methods, grids)
     pattern_grid = PatternGrid(
         windows=cfg.get("windows", PatternGrid().windows),
         global_counts=cfg.get("global_counts", (0,)),
@@ -413,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", default=None)
     p.add_argument("--proj", default=None)
     p.add_argument("--kmeans", default=None)
-    p.add_argument("--workers", type=int, default=None, help="parallel cell evaluation")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes over which the (method, params) groups are spread")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pareto", parents=[common], help="recompute frontiers from sweep.csv")

@@ -2,14 +2,22 @@
 cell over a set of instances, collect per-head sparsity/recall records,
 and reduce them to Pareto frontiers and report files.
 
-Cells are independent; with ``workers > 1`` they run in separate processes.
-Per-cell RNG streams are derived from the master seed and the cell key, and
-records are sorted canonically before writing, so parallel execution cannot
-change any output byte.
+The unit of work is a (method, params) group.  It visits each instance
+once and, there, every pattern point (window, global count) of its cells.
+A method that draws nothing from the RNG (all but lsh and bigbird) thus
+predicts its learned graph once per instance and shares it across every
+window and global count.  A cell is scored from edge counts, without
+building the union of the learned graph and the pattern graph.
 
-What cells share is computed once per ``run_sweep`` call and dropped when
-it returns: the gold graphs and projected queries/keys of every instance,
-and each pattern graph without random global tokens.
+Groups are independent; with ``workers > 1`` they run in separate processes.
+Per-cell RNG streams are derived from the master seed and the cell key, and
+records are sorted canonically before writing, so neither parallel
+execution nor the order of the grids can change any output byte.
+
+What groups share is computed once per ``run_sweep`` call and dropped when
+it returns: the gold graph, its bit mask and the projected queries/keys of
+every instance, and each pattern graph without random global tokens, with
+its bit mask and its count of gold edges per instance.
 """
 
 import csv
@@ -19,12 +27,13 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .entmax import EntmaxParams
 from .errors import ConfigError
-from .graph import extract_graph, graph_union, recall, sparsity
+from .graph import admissible_count, extract_graph, sparsity
 from .kmeans import Centroids
 from .predictors import (
     PatternConfig,
@@ -140,6 +149,30 @@ def _grid_for(method: str, grids: dict) -> dict:
     return {**DEFAULT_GRIDS[method], **grids.get(method, {})}
 
 
+def _validate_grids(methods, grids):
+    """ConfigError unless every method is known and every grid names a known
+    method, only parameters of that method, and a non-empty list of values
+    for each."""
+    for method in methods:
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+    if not isinstance(grids, dict):
+        raise ConfigError("'grids' must map method names to parameter grids")
+    for method, grid in grids.items():
+        if method not in METHODS:
+            raise ConfigError(f"grid for unknown method {method!r}; choose from {METHODS}")
+        if not isinstance(grid, dict):
+            raise ConfigError(f"the grid of {method!r} must map parameter names to lists")
+        for name, values in grid.items():
+            if name not in DEFAULT_GRIDS[method]:
+                raise ConfigError(
+                    f"method {method!r} has no parameter {name!r}; "
+                    f"its parameters are {sorted(DEFAULT_GRIDS[method])}"
+                )
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(f"grid {method}.{name} must be a non-empty list, got {values!r}")
+
+
 def _hp_str(hp: dict) -> str:
     parts = []
     for key in sorted(hp):
@@ -155,28 +188,22 @@ def _record_key(rec: SweepRecord):
     return (rec.method, _hp_str(rec.hyperparams), rec.layer, rec.head)
 
 
-def _build_cells(methods, grids, pattern_grid: PatternGrid):
-    cells = []
+def _build_groups(methods, grids):
+    """Every (method, params) pair of the grids, in grid order."""
+    groups = []
     for method in methods:
         grid = _grid_for(method, grids)
         names = sorted(grid)
         combos = [dict(zip(names, vals))
                   for vals in product(*(grid[name] for name in names))] or [{}]
-        # longformer's own hyperparameter is the global-token count
-        g_axis = (0,) if method == "longformer" else pattern_grid.global_counts
-        for params in combos:
-            for w in pattern_grid.windows:
-                for g in g_axis:
-                    cells.append((method, params, w, g))
-    return cells
+        groups.extend((method, params) for params in combos)
+    return groups
 
 
 def _validate_artifacts(instances, methods, grids, artifacts: SweepArtifacts):
     keys = sorted({(sm.layer, sm.head) for sm in instances})
     dims = {(sm.layer, sm.head): sm.d for sm in instances}
     for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
         grid = _grid_for(method, grids)
         if method in _NEEDS_PROJECTION:
             for key in keys:
@@ -198,13 +225,85 @@ def _validate_artifacts(instances, methods, grids, artifacts: SweepArtifacts):
                         )
 
 
+# ---------------------------------------------------------------------------
+# Scoring from edge counts.  A mask holds a graph's cells as bits, eight to
+# a byte: n*m/8 bytes per graph, however many edges it has.
+
+
+def _mask(graph) -> np.ndarray:
+    """Bit ``lin % 8`` of byte ``lin // 8`` is set for each edge ``lin``."""
+    return np.packbits(graph.to_dense().ravel(), bitorder="little")
+
+
+def _locate(lin):
+    """The mask byte of each linear index, and its bit as a one-bit byte."""
+    bit = lin.astype(np.uint8)  # lin % 256, so lin % 8 survives
+    bit &= 7
+    np.left_shift(1, bit, out=bit)
+    return lin >> 3, bit
+
+
+def _members(mask, byte, bit) -> np.ndarray:
+    """Per located cell, its bit if ``mask`` holds it, else 0; two such
+    arrays over the same cells AND to the cells both masks hold."""
+    return mask[byte] & bit
+
+
+class _Learned(NamedTuple):
+    """A learned graph reduced to what scoring against one gold graph needs."""
+
+    byte: np.ndarray  # where its edges sit in a mask (``_locate``)
+    bit: np.ndarray
+    in_gold: np.ndarray  # ``_members`` of the gold mask
+    hits: int  # gold edges
+
+
+class _Pattern(NamedTuple):
+    """A pattern graph reduced to what scoring against one gold graph needs."""
+
+    mask: np.ndarray
+    edges: int
+    hits: int  # gold edges
+
+
+def _learned(graph, gold_mask):
+    if graph is None:
+        return None
+    byte, bit = _locate(graph._lin)
+    in_gold = _members(gold_mask, byte, bit)
+    return _Learned(byte, bit, in_gold, int(np.count_nonzero(in_gold)))
+
+
+def _pattern(graph, mask, gold_mask) -> _Pattern:
+    hits = int(np.count_nonzero(_members(gold_mask, *_locate(graph._lin))))
+    return _Pattern(mask, graph.edge_count, hits)
+
+
+def _union_scores(learned, pattern: _Pattern, gold):
+    """``(sparsity, recall)`` of the union of ``learned`` (None: no learned
+    graph) and ``pattern`` against ``gold``, without building the union.
+
+    |L | P| = |L| + |P| - |L & P| and |(L | P) & G| = |L & G| + |P & G| -
+    |L & P & G|; the final expressions are those of ``graph.sparsity`` and
+    ``graph.recall``, so the values are equal bit for bit.
+    """
+    edges, hits = pattern.edges, pattern.hits
+    if learned is not None:
+        in_pattern = _members(pattern.mask, learned.byte, learned.bit)
+        edges += learned.byte.size - int(np.count_nonzero(in_pattern))
+        hits += learned.hits - int(np.count_nonzero(in_pattern & learned.in_gold))
+    return 1.0 - edges / admissible_count(gold.n, gold.m, gold.causal), hits / gold.edge_count
+
+
 @dataclass
 class _SweepState:
-    """Everything the cells of one ``run_sweep`` call share.
+    """Everything the groups of one ``run_sweep`` call share.
 
     ``projections[idx]`` holds instance idx's projected (Q, K), or None when
-    no swept method projects; ``patterns`` memoises the pattern graph per
-    (PatternConfig, n, m) as cells ask for it.
+    no swept method projects.  Memoised as groups ask for them: the gold
+    mask per instance, each pattern graph without random global tokens and
+    its mask per (PatternConfig, n, m), and its gold hits per
+    (PatternConfig, instance).
     """
 
     instances: list
@@ -212,20 +311,34 @@ class _SweepState:
     artifacts: SweepArtifacts
     projections: list
     seed: int
-    global_mode: str
+    pattern_grid: PatternGrid
+    gold_masks: dict = field(default_factory=dict)
     patterns: dict = field(default_factory=dict)
+    scored_patterns: dict = field(default_factory=dict)
 
-    def pattern(self, pc: PatternConfig, n, m):
-        key = (pc, n, m)
-        graph = self.patterns.get(key)
-        if graph is None:
-            graph = self.patterns[key] = window_global_graph(n, m, pc)
-        return graph
+    def gold_mask(self, idx):
+        mask = self.gold_masks.get(idx)
+        if mask is None:
+            mask = self.gold_masks[idx] = _mask(self.golds[idx])
+        return mask
+
+    def pattern(self, pc: PatternConfig, idx) -> _Pattern:
+        scored = self.scored_patterns.get((pc, idx))
+        if scored is None:
+            sm = self.instances[idx]
+            key = (pc, sm.n, sm.m)
+            if key not in self.patterns:
+                graph = window_global_graph(sm.n, sm.m, pc)
+                self.patterns[key] = graph, _mask(graph)
+            scored = _pattern(*self.patterns[key], self.gold_mask(idx))
+            self.scored_patterns[(pc, idx)] = scored
+        return scored
 
 
 def _predict(method, params, sm, artifacts, proj, rng):
     """The learned graph of one instance, or None for the pattern-only
-    methods (window, longformer)."""
+    methods (window, longformer).  Only the methods in ``_DRAWS`` use
+    ``rng``."""
     key = (sm.layer, sm.head)
     if method in _NEEDS_PROJECTION:
         Qp, Kp = proj
@@ -259,41 +372,55 @@ def _predict(method, params, sm, artifacts, proj, rng):
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _eval_cell(cell, state: _SweepState):
-    method, params, w, g_axis = cell
-    g_count = int(params["num_globals"]) if method == "longformer" else g_axis
-    random_globals = g_count > 0 and state.global_mode == "random"
-    # the per-(cell, instance) generator, made only where it is drawn from
-    crc = None
-    if random_globals or method in _DRAWS:
-        crc = zlib.crc32(f"{method}|{_hp_str(params)}|w={w}|g={g_axis}".encode())
-    sums = {}
+def _eval_group(group, state: _SweepState):
+    """Records of every cell of one (method, params) group.
+
+    The group's cells are its pattern points (window, global count).  Each
+    instance is visited once, and a method outside ``_DRAWS`` predicts its
+    learned graph there once for all of the points.
+    """
+    method, params = group
+    grid = state.pattern_grid
+    # longformer's own hyperparameter is the global-token count
+    g_axis = (0,) if method == "longformer" else grid.global_counts
+    cells = []  # (window, global count, RNG key, hyperparams, per-head sums)
+    for w, g in product(grid.windows, g_axis):
+        g_count = int(params["num_globals"]) if method == "longformer" else g
+        hp = dict(params, window=w)
+        if g_count > 0 and method != "longformer":
+            hp.update(globals=g_count, global_mode=grid.global_mode)
+        crc = zlib.crc32(f"{method}|{_hp_str(params)}|w={w}|g={g}".encode())
+        cells.append((w, g_count, crc, hp, {}))
     for idx, (sm, gold) in enumerate(zip(state.instances, state.golds)):
-        rng = None if crc is None else np.random.default_rng((state.seed, crc, idx))
+        gold_mask = state.gold_mask(idx)
+        proj = state.projections[idx]
+        if method not in _DRAWS:
+            learned = _learned(_predict(method, params, sm, state.artifacts, proj, None), gold_mask)
         limit = min(sm.n, sm.m)
-        take = min(g_count, limit)
-        if random_globals:  # drawn per (cell, instance): nothing to share
-            globals_ = tuple(int(t) for t in rng.choice(limit, size=take, replace=False))
-            pc = PatternConfig(window=w, global_tokens=globals_, causal=sm.causal)
-            pattern = window_global_graph(sm.n, sm.m, pc)
-        else:
-            pc = PatternConfig(window=w, global_tokens=tuple(range(take)), causal=sm.causal)
-            pattern = state.pattern(pc, sm.n, sm.m)
-        learned = _predict(method, params, sm, state.artifacts, state.projections[idx], rng)
-        combined = pattern if learned is None else graph_union(learned, pattern)
-        key = (sm.layer, sm.head)
-        s_sum, r_sum, count = sums.get(key, (0.0, 0.0, 0))
-        sums[key] = (s_sum + sparsity(combined), r_sum + recall(combined, gold), count + 1)
-    hp = dict(params)
-    hp["window"] = w
-    if g_count > 0 and method != "longformer":
-        hp["globals"] = g_count
-        hp["global_mode"] = state.global_mode
+        for w, g_count, crc, _, sums in cells:
+            take = min(g_count, limit)
+            random_globals = g_count > 0 and grid.global_mode == "random"
+            # the per-(cell, instance) generator, made only where it is drawn from
+            rng = None
+            if random_globals or method in _DRAWS:
+                rng = np.random.default_rng((state.seed, crc, idx))
+            if random_globals:  # drawn per (cell, instance): nothing to share
+                globals_ = tuple(int(t) for t in rng.choice(limit, size=take, replace=False))
+                graph = window_global_graph(sm.n, sm.m, PatternConfig(w, globals_, sm.causal))
+                pattern = _pattern(graph, _mask(graph), gold_mask)
+            else:
+                pattern = state.pattern(PatternConfig(w, tuple(range(take)), sm.causal), idx)
+            if method in _DRAWS:
+                learned = _learned(_predict(method, params, sm, state.artifacts, proj, rng),
+                                   gold_mask)
+            s, r = _union_scores(learned, pattern, gold)
+            key = (sm.layer, sm.head)
+            s_sum, r_sum, count = sums.get(key, (0.0, 0.0, 0))
+            sums[key] = (s_sum + s, r_sum + r, count + 1)
     records = []
-    for (layer, head), (s_sum, r_sum, count) in sorted(sums.items()):
-        records.append(
-            SweepRecord(method, hp, layer, head, s_sum / count, r_sum / count)
-        )
+    for *_, hp, sums in cells:
+        for (layer, head), (s_sum, r_sum, count) in sorted(sums.items()):
+            records.append(SweepRecord(method, hp, layer, head, s_sum / count, r_sum / count))
     return records
 
 
@@ -308,8 +435,8 @@ def _init_worker(state):
     _worker_state = state
 
 
-def _eval_cell_in_worker(cell):
-    return _eval_cell(cell, _worker_state)
+def _eval_group_in_worker(group):
+    return _eval_group(group, _worker_state)
 
 
 def run_sweep(
@@ -326,18 +453,20 @@ def run_sweep(
 
     Ground-truth graphs are extracted once per instance with the given
     alpha, and queries/keys are projected once per instance.  Raises
-    ConfigError before any evaluation if a method lacks its fitted
-    artifacts.  With ``workers > 1`` each pool process receives the shared
-    state once, through the pool's initializer.
+    ConfigError before any evaluation if a method or grid is invalid or a
+    method lacks its fitted artifacts.  With ``workers > 1`` each pool
+    process receives the shared state once, through the pool's initializer,
+    and the (method, params) groups are spread over the pool.
     """
     instances = list(instances)
     if not instances:
         raise ConfigError("no instances to sweep")
-    grids = dict(grids or {})
-    artifacts = artifacts or SweepArtifacts()
+    grids = {} if grids is None else grids
     methods = list(methods)
+    _validate_grids(methods, grids)
+    artifacts = artifacts or SweepArtifacts()
     _validate_artifacts(instances, methods, grids, artifacts)
-    cells = _build_cells(methods, grids, pattern_grid)
+    groups = _build_groups(methods, grids)
     params = EntmaxParams(alpha=alpha)
     golds = [extract_graph(sm, params) for sm in instances]
     if _NEEDS_PROJECTION.intersection(methods):
@@ -347,15 +476,15 @@ def run_sweep(
             projections.append((project_rows(head, sm.Q), project_rows(head, sm.K)))
     else:
         projections = [None] * len(instances)
-    state = _SweepState(instances, golds, artifacts, projections, seed, pattern_grid.global_mode)
+    state = _SweepState(instances, golds, artifacts, projections, seed, pattern_grid)
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(state,)) as pool:
-            per_cell = list(pool.map(_eval_cell_in_worker, cells))
+            per_group = list(pool.map(_eval_group_in_worker, groups))
     else:
-        per_cell = [_eval_cell(cell, state) for cell in cells]
-    records = [rec for cell_records in per_cell for rec in cell_records]
+        per_group = [_eval_group(group, state) for group in groups]
+    records = [rec for group_records in per_group for rec in group_records]
     records.sort(key=_record_key)
     return records
 

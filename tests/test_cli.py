@@ -207,7 +207,12 @@ class TestExitCodes:
         ([], {"global_counts": [-1]}),
         ([], {"windows": "37"}),
         ([], {"windows": [0, 2]}),
-    ], ids=["workers-0", "workers-negative", "negative-globals", "windows-string", "even-window"])
+        ([], {"grids": {"distance": {"tt": [1.0]}}}),
+        ([], {"grids": {"clusterin": {"B": [4]}}}),
+        ([], {"grids": {"distance": {"t": []}}}),
+        ([], {"grids": {"distance": {"t": 1.0}}}),
+    ], ids=["workers-0", "workers-negative", "negative-globals", "windows-string", "even-window",
+            "unknown-parameter", "unknown-method-grid", "empty-grid", "scalar-grid"])
     def test_invalid_sweep_setting_rejected_before_any_work(self, exp, monkeypatch, extra, setting):
         tmp_path, cfg_path, out, _ = exp
         cfg = json.loads(cfg_path.read_text())

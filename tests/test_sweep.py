@@ -1,9 +1,13 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseattn import (
+    AttentionGraph,
     ConfigError,
     KMeansConfig,
     ParetoPoint,
@@ -16,17 +20,20 @@ from sparseattn import (
     extract_graph,
     generate_instances,
     gold_sparsity_of,
+    graph_union,
     kmeans_fit,
     pareto_frontier,
     per_method_frontiers,
     project_rows,
     read_sweep_csv,
+    recall,
     report,
     run_sweep,
     sparsity,
     train_projection,
     write_sweep_csv,
 )
+from sparseattn import sweep
 from sparseattn.projection import TrainConfig
 
 from oracles import pareto_brute_force, run_sweep_uncached
@@ -145,6 +152,15 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="unknown method"):
             run_sweep(mats, ["sliding"], artifacts=arts)
 
+    @pytest.mark.parametrize("grids", [
+        {"distance": {"tt": [1.0]}}, {"clusterin": {"B": [4]}}, {"distance": {"t": []}},
+        {"distance": {"t": 1.0}}, {"distance": [1.0]}, [("distance", {"t": [1.0]})],
+    ])
+    def test_invalid_grid_raises_config_error(self, grids):
+        mats, golds, arts = small_setup()
+        with pytest.raises(ConfigError):
+            run_sweep(mats, ["distance"], grids=grids, artifacts=arts)
+
     def test_deterministic_and_parallel_identical(self, tmp_path):
         mats, golds, arts = small_setup()
         kwargs = dict(
@@ -200,20 +216,89 @@ class TestAgainstUncachedSweep:
     @pytest.mark.parametrize("global_mode", ["random", "prefix"])
     def test_records_and_csv_bytes_equal(self, tmp_path, causal, global_mode):
         mats, _, arts = small_setup(causal=causal)
-        windows, global_counts, seed = (0, 3), (0, 2), 11
-        want = run_sweep_uncached(mats, ALL_METHODS, FULL_GRIDS, windows, global_counts,
-                                  global_mode, arts, alpha=1.5, seed=seed)
-        want_csv = tmp_path / "want.csv"
-        write_sweep_csv(want, want_csv)
-        grid = PatternGrid(windows=windows, global_counts=global_counts,
-                           global_mode=global_mode)
-        for workers in (1, 2):
-            got = run_sweep(mats, ALL_METHODS, grids=FULL_GRIDS, pattern_grid=grid,
-                            artifacts=arts, alpha=1.5, seed=seed, workers=workers)
-            assert got == want
-            got_csv = tmp_path / f"got{workers}.csv"
-            write_sweep_csv(got, got_csv)
-            assert got_csv.read_bytes() == want_csv.read_bytes()
+        global_counts, seed = (0, 2), 11
+        # n = 16, so window 17 covers every row; the last order is shuffled,
+        # and the reference runs its windows in sorted order
+        for windows in ((0, 3), (0, 3, 7), (17, 3, 0, 7)):
+            want = run_sweep_uncached(mats, ALL_METHODS, FULL_GRIDS, sorted(windows),
+                                      global_counts, global_mode, arts, alpha=1.5, seed=seed)
+            want_csv = tmp_path / "want.csv"
+            write_sweep_csv(want, want_csv)
+            grid = PatternGrid(windows=windows, global_counts=global_counts,
+                               global_mode=global_mode)
+            for workers in (1, 2):
+                got = run_sweep(mats, ALL_METHODS, grids=FULL_GRIDS, pattern_grid=grid,
+                                artifacts=arts, alpha=1.5, seed=seed, workers=workers)
+                assert got == want
+                got_csv = tmp_path / f"got{workers}.csv"
+                write_sweep_csv(got, got_csv)
+                assert got_csv.read_bytes() == want_csv.read_bytes()
+
+
+class TestSharedPredictions:
+    @pytest.mark.parametrize("windows, global_counts", [((0,), (0,)), ((0, 3, 7, 17), (0, 2))],
+                             ids=["one-point", "eight-points"])
+    def test_deterministic_predictors_run_once_per_instance(self, monkeypatch, windows,
+                                                           global_counts):
+        mats, _, arts = small_setup(num_instances=2)
+        calls = Counter()
+        for name in ("distance_pairing", "cluster_qk", "quantize_qk", "routing_assign",
+                     "lsh_assign", "bigbird_random_blocks"):
+            def counted(*args, _fn=getattr(sweep, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(sweep, name, counted)
+        run_sweep(mats, ALL_METHODS, grids=FULL_GRIDS, artifacts=arts,
+                  pattern_grid=PatternGrid(windows=windows, global_counts=global_counts))
+        per_instance = len(mats)
+        per_cell = len(windows) * len(global_counts) * len(mats)
+        assert calls == {
+            "distance_pairing": 2 * per_instance,
+            "quantize_qk": 2 * per_instance,
+            "cluster_qk": 4 * per_instance,
+            "routing_assign": 2 * 2 * per_instance,  # queries and keys
+            "lsh_assign": 4 * 2 * per_cell,  # queries and keys
+            "bigbird_random_blocks": 2 * per_cell,
+        }
+
+
+@st.composite
+def _graph_triple(draw, relation, causal):
+    """Learned, pattern and gold graphs over one random shape; ``relation``
+    ties the learned graph to the pattern."""
+    n = draw(st.integers(1, 9))
+    m = n if causal else draw(st.integers(1, 9).filter(lambda m: m != n))
+    cells = [(i, j) for i in range(n) for j in range(m) if not causal or j <= i]
+    subset = st.sets(st.sampled_from(cells))
+    learned, pattern = draw(subset), draw(subset)
+    gold = draw(st.sets(st.sampled_from(cells), min_size=1))
+    if relation == "empty L":
+        learned = set()
+    elif relation == "empty P":
+        pattern = set()
+    elif relation == "P in L":
+        learned |= pattern
+    elif relation == "L in P":
+        pattern |= learned
+    return tuple(AttentionGraph(n, m, sorted(edges), causal=causal)
+                 for edges in (learned, pattern, gold))
+
+
+class TestCountScoring:
+    @pytest.mark.parametrize("relation", ["any", "empty L", "empty P", "P in L", "L in P"])
+    @pytest.mark.parametrize("causal", [False, True], ids=["n!=m", "causal"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_scores_of_the_materialised_union(self, relation, causal, data):
+        L, P, G = data.draw(_graph_triple(relation, causal))
+        gold_mask = sweep._mask(G)
+        pattern = sweep._pattern(P, sweep._mask(P), gold_mask)
+        union = graph_union(L, P)
+        want = (sparsity(union), recall(union, G))
+        assert sweep._union_scores(sweep._learned(L, gold_mask), pattern, G) == want
+        if relation == "empty L":  # the pattern-only methods pass no learned graph
+            assert sweep._union_scores(None, pattern, G) == want
 
 
 class TestPatternGridValidation:
