@@ -2,7 +2,9 @@
 the learned predictors, sweep the hyperparameter grids, and report.
 
 All subcommands share --seed/--alpha/--causal/--config/--out; extra knobs
-live in the JSON config file (flat key/value object, unknown keys ignored).
+live in the JSON config file, a flat object over the keys of ``KEYS``.  Every
+stage accepts every key, and rejects an unknown key or a value of the wrong
+type or range before it reads any data.
 Stages after 'gen' take the causal flag from the data manifest and reject a
 --causal that contradicts it.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 contract
@@ -14,6 +16,8 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .sweep import (
     PatternGrid,
     SweepArtifacts,
     _validate_grids,
+    check_value,
     per_method_frontiers,
     read_sweep_csv,
     report,
@@ -46,49 +51,94 @@ _PROJ_RE = re.compile(r"head_l(\d+)_h(\d+)\.txt$")
 _KMEANS_RE = re.compile(r"c_l(\d+)_h(\d+)_B(\d+)\.txt$")
 
 
-def _load_config(path) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+def _rows(cls, prefix="", skip=()):
+    """Config rows ``prefix + field: (type, default)`` of a dataclass's fields."""
+    return {prefix + f.name: (f.type, f.default) for f in fields(cls) if f.name not in skip}
+
+
+# Every key of the JSON config: (type, default).  ``[type]`` is a non-empty
+# list without repeats; a None default is worked out from other keys.  A
+# key that also has a flag takes the flag's value when the flag is given.
+KEYS = {
+    **_rows(SyntheticSpec),  # seed, alpha and causal are shared by all stages
+    "m": (int, None),  # n
+    "out": (str, "."),
+    # None: <out>/<key>, and <out>/sweep.csv for records
+    **{key: (str, None) for key in ("data", "graphs", "proj", "kmeans", "records")},
+    **_rows(TrainConfig, skip={"rng_seed"}),
+    "r": (int, 4), "min_len": (int, 21),
+    **_rows(KMeansConfig, "kmeans_", skip={"seed"}),
+    "kmeans_sample": (int, 0),  # 0: every point
+    "B_list": ([int], tuple(sorted({*DEFAULT_GRIDS["clustering"]["B"], *DEFAULT_GRIDS["routing"]["c"]}))),
+    "methods": ([str], tuple(DEFAULT_GRIDS)),
+    "grids": (dict, {}),
+    "windows": ([int], PatternGrid.windows),
+    "global_counts": ([int], PatternGrid.global_counts),
+    "global_mode": (str, PatternGrid.global_mode),
+    "workers": (int, 1),
+    "bench_n": (int, 256), "bench_d": (int, 64), "bench_window": (int, 3), "repeats": (int, 5),
+    "z_list": ([int], (8, 16)), "top_k_list": ([int], (2, 4, 8)), "variants": ([str], ("v1", "v2")),
+    "trials": (int, 1000),
+}
+
+# least value of a number, or of each element of a list of numbers
+_LEAST = {"seed": 0, "alpha": 1, "r": 1, "kmeans_sample": 0, "B_list": 1, "workers": 1, "trials": 1}
+
+Config = namedtuple("Config", KEYS)
+
+
+def _common(args) -> Config:
+    """The JSON config file, with the flags given on the command line over
+    it and the defaults of ``KEYS`` under it.  Every value in the file and
+    every flag is checked, also a file value that a flag overrides, and so
+    are the ranges of every stage's settings; then the output directory is
+    made."""
+    given = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                given = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {args.config}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(given, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+    flags = [(key, val) for key in KEYS if (val := getattr(args, key, None)) is not None]
+    vals = {key: default for key, (_, default) in KEYS.items()}
+    for key, val in [*given.items(), *flags]:
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key {key!r}; the README lists every key")
+        vals[key] = check_value(key, val, KEYS[key][0], _LEAST.get(key))
+    if vals["m"] is None:
+        vals["m"] = vals["n"]
+    for key in ("data", "graphs", "proj", "kmeans"):
+        vals[key] = vals[key] or os.path.join(vals["out"], key)
+    vals["records"] = vals["records"] or os.path.join(vals["out"], "sweep.csv")
+    cfg = Config(**vals)
+    # the range checks of every stage, so that no stage accepts what a later one rejects
+    _build(SyntheticSpec, cfg)
+    _build(TrainConfig, cfg, rng_seed=cfg.seed)
+    _build(KMeansConfig, cfg, "kmeans_", seed=cfg.seed)
+    _validate_grids(cfg.methods, cfg.grids)
+    PatternGrid(cfg.windows, cfg.global_counts, cfg.global_mode)
+    os.makedirs(cfg.out, exist_ok=True)
     return cfg
 
 
-def _opt(args, cfg, name, default):
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    return cfg.get(name, default)
+def _build(cls, cfg, prefix="", **given):
+    """``cls`` from its rows of ``cfg``, with the fields in ``given`` set to those values."""
+    return cls(**{f.name: getattr(cfg, prefix + f.name) for f in fields(cls) if f.name not in given},
+               **given)
 
 
-def _common(args):
-    cfg = _load_config(args.config)
-    seed = int(_opt(args, cfg, "seed", 0))
-    alpha = float(_opt(args, cfg, "alpha", 1.5))
-    causal = bool(cfg.get("causal", False)) or bool(args.causal)
-    out = args.out or cfg.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    return cfg, seed, alpha, causal, out
-
-
-def _data_path(args, cfg, out):
-    return _opt(args, cfg, "data", os.path.join(out, "data"))
-
-
-def _load_instances(args, cfg, out, causal):
+def _load_instances(cfg):
     """The data manifest's instances.  Their own causal flags decide the
     masking, so a requested ``--causal`` (or ``causal: true``) must match
     every one of them."""
-    mats = load_qk(_data_path(args, cfg, out))
+    mats = load_qk(cfg.data)
     flat = [sm for sm in mats if not sm.causal]
-    if causal and flat:
+    if cfg.causal and flat:
         sm = flat[0]
         raise ConfigError(
             f"causal attention requested, but {len(flat)} instance(s) in the data "
@@ -126,47 +176,35 @@ def _load_graphs(graphs_dir):
 
 
 def cmd_gen(args) -> int:
-    cfg, seed, alpha, causal, out = _common(args)
-    fields = {
-        k: cfg[k]
-        for k in (
-            "n", "m", "d", "generator", "num_heads", "num_instances",
-            "num_clusters", "cluster_std", "center_scale", "rank", "path",
-        )
-        if k in cfg
-    }
-    if "m" not in fields and "n" in fields:
-        fields["m"] = fields["n"]
-    spec = SyntheticSpec(alpha=alpha, causal=causal, seed=seed, **fields)
-    mats = generate_instances(spec)
-    manifest = save_qk(mats, _data_path(args, cfg, out))
+    cfg = _common(args)
+    mats = generate_instances(_build(SyntheticSpec, cfg))
+    manifest = save_qk(mats, cfg.data)
     print(f"gen: wrote {len(mats)} instances to {manifest}")
     return 0
 
 
 def cmd_extract(args) -> int:
-    cfg, seed, alpha, causal, out = _common(args)
-    mats = _load_instances(args, cfg, out, causal)
-    graphs_dir = _opt(args, cfg, "graphs", os.path.join(out, "graphs"))
-    os.makedirs(graphs_dir, exist_ok=True)
-    params = EntmaxParams(alpha=alpha)
+    cfg = _common(args)
+    mats = _load_instances(cfg)
+    os.makedirs(cfg.graphs, exist_ok=True)
+    params = EntmaxParams(alpha=cfg.alpha)
     entries = []
     sparsities = []
     for sm in mats:
         g = extract_graph(sm, params)
         fname = f"g_l{sm.layer}_h{sm.head}_i{sm.instance}.txt"
-        write_graph(g, os.path.join(graphs_dir, fname))
+        write_graph(g, os.path.join(cfg.graphs, fname))
         entries.append(
             {"layer": sm.layer, "head": sm.head, "instance": sm.instance,
              "path": fname, "causal": sm.causal}
         )
         sparsities.append(sparsity(g))
     meta = {
-        "alpha": alpha,
+        "alpha": cfg.alpha,
         "gold_sparsity": float(np.mean(sparsities)),
         "graphs": entries,
     }
-    with open(os.path.join(graphs_dir, "meta.json"), "w", encoding="ascii") as fh:
+    with open(os.path.join(cfg.graphs, "meta.json"), "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"extract: {len(entries)} graphs, gold sparsity {meta['gold_sparsity']:.4f}")
@@ -181,30 +219,20 @@ def _instances_by_head(mats):
 
 
 def cmd_train_proj(args) -> int:
-    cfg, seed, alpha, causal, out = _common(args)
-    mats = _load_instances(args, cfg, out, causal)
-    graphs = _load_graphs(_opt(args, cfg, "graphs", os.path.join(out, "graphs")))
-    proj_dir = _opt(args, cfg, "proj", os.path.join(out, "proj"))
-    os.makedirs(proj_dir, exist_ok=True)
-    train_cfg = TrainConfig(
-        margin=float(cfg.get("margin", 1.0)),
-        learning_rate=float(cfg.get("learning_rate", 0.01)),
-        epochs=int(cfg.get("epochs", 1)),
-        batch_size=int(cfg.get("batch_size", 16)),
-        negatives_per_positive=int(cfg.get("negatives_per_positive", 1)),
-        rng_seed=seed,
-    )
-    r = int(cfg.get("r", 4))
-    min_len = int(cfg.get("min_len", 21))
+    cfg = _common(args)
+    train_cfg = _build(TrainConfig, cfg, rng_seed=cfg.seed)
+    mats = _load_instances(cfg)
+    graphs = _load_graphs(cfg.graphs)
+    os.makedirs(cfg.proj, exist_ok=True)
     for (layer, head), group in sorted(_instances_by_head(mats).items()):
         try:
             gold = [graphs[(layer, head, sm.instance)] for sm in group]
         except KeyError as exc:
             raise DataError(f"missing gold graph for layer/head/instance {exc}") from None
-        ds = build_pair_dataset(group, gold, rng_seed=seed, min_len=min_len)
-        trained = train_projection(ds, train_cfg, r=r)
-        save_head(trained, os.path.join(proj_dir, f"head_l{layer}_h{head}.txt"))
-        print(f"train-proj: layer {layer} head {head}: {len(ds)} pairs -> r={r}")
+        ds = build_pair_dataset(group, gold, rng_seed=cfg.seed, min_len=cfg.min_len)
+        trained = train_projection(ds, train_cfg, r=cfg.r)
+        save_head(trained, os.path.join(cfg.proj, f"head_l{layer}_h{head}.txt"))
+        print(f"train-proj: layer {layer} head {head}: {len(ds)} pairs -> r={cfg.r}")
     return 0
 
 
@@ -232,32 +260,24 @@ def _pooled_projected(mats, head):
 
 
 def cmd_fit_kmeans(args) -> int:
-    cfg, seed, alpha, causal, out = _common(args)
-    mats = _load_instances(args, cfg, out, causal)
-    heads = _load_proj_dir(_opt(args, cfg, "proj", os.path.join(out, "proj")))
-    km_dir = _opt(args, cfg, "kmeans", os.path.join(out, "kmeans"))
-    os.makedirs(km_dir, exist_ok=True)
-    default_bs = sorted(set(DEFAULT_GRIDS["clustering"]["B"]) | set(DEFAULT_GRIDS["routing"]["c"]))
-    b_list = [int(b) for b in cfg.get("B_list", default_bs)]
-    km_cfg = KMeansConfig(
-        n_init=int(cfg.get("kmeans_n_init", 10)),
-        max_iter=int(cfg.get("kmeans_max_iter", 300)),
-        seed=seed,
-    )
-    sample = int(cfg.get("kmeans_sample", 0))  # 0 = use everything
+    cfg = _common(args)
+    km_cfg = _build(KMeansConfig, cfg, "kmeans_", seed=cfg.seed)
+    mats = _load_instances(cfg)
+    heads = _load_proj_dir(cfg.proj)
+    os.makedirs(cfg.kmeans, exist_ok=True)
     for (layer, head_idx), group in sorted(_instances_by_head(mats).items()):
         if (layer, head_idx) not in heads:
             raise ConfigError(f"no projection for layer {layer} head {head_idx}")
         pooled = _pooled_projected(group, heads[(layer, head_idx)])
-        if 0 < sample < pooled.shape[0]:
-            idx = np.random.default_rng(seed).choice(pooled.shape[0], sample, replace=False)
+        if 0 < cfg.kmeans_sample < pooled.shape[0]:
+            idx = np.random.default_rng(cfg.seed).choice(pooled.shape[0], cfg.kmeans_sample, replace=False)
             pooled = pooled[np.sort(idx)]
-        for B in b_list:
+        for B in cfg.B_list:
             centroids = kmeans_fit(pooled, B, km_cfg)
             save_centroids(
-                centroids, os.path.join(km_dir, f"c_l{layer}_h{head_idx}_B{B}.txt")
+                centroids, os.path.join(cfg.kmeans, f"c_l{layer}_h{head_idx}_B{B}.txt")
             )
-        print(f"fit-kmeans: layer {layer} head {head_idx}: B in {b_list} on {pooled.shape[0]} points")
+        print(f"fit-kmeans: layer {layer} head {head_idx}: B in {list(cfg.B_list)} on {pooled.shape[0]} points")
     return 0
 
 
@@ -274,47 +294,33 @@ def _load_kmeans_dir(km_dir):
 
 
 def cmd_sweep(args) -> int:
-    cfg, seed, alpha, causal, out = _common(args)
-    methods = cfg.get("methods", list(DEFAULT_GRIDS))
-    grids = cfg.get("grids", {})
-    _validate_grids(methods, grids)
-    pattern_grid = PatternGrid(
-        windows=cfg.get("windows", PatternGrid().windows),
-        global_counts=cfg.get("global_counts", (0,)),
-        global_mode=cfg.get("global_mode", "random"),
-    )
-    workers = int(_opt(args, cfg, "workers", 1))
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
-    mats = _load_instances(args, cfg, out, causal)
-    meta = _load_meta(_opt(args, cfg, "graphs", os.path.join(out, "graphs")))
-    if meta.get("alpha") != alpha:
+    cfg = _common(args)
+    pattern_grid = PatternGrid(cfg.windows, cfg.global_counts, cfg.global_mode)
+    mats = _load_instances(cfg)
+    meta = _load_meta(cfg.graphs)
+    if meta.get("alpha") != cfg.alpha:
         raise ConfigError(
             f"gold graphs were extracted at alpha {meta.get('alpha')}, the sweep runs at "
-            f"alpha {alpha}; re-run 'extract' with --alpha {alpha}"
+            f"alpha {cfg.alpha}; re-run 'extract' with --alpha {cfg.alpha}"
         )
-    artifacts = SweepArtifacts(
-        heads=_load_proj_dir(_opt(args, cfg, "proj", os.path.join(out, "proj"))),
-        centroids=_load_kmeans_dir(_opt(args, cfg, "kmeans", os.path.join(out, "kmeans"))),
-    )
+    artifacts = SweepArtifacts(_load_proj_dir(cfg.proj), _load_kmeans_dir(cfg.kmeans))
     records = run_sweep(
-        mats, methods, grids=grids, pattern_grid=pattern_grid,
-        artifacts=artifacts, alpha=alpha, seed=seed, workers=workers,
+        mats, cfg.methods, grids=cfg.grids, pattern_grid=pattern_grid,
+        artifacts=artifacts, alpha=cfg.alpha, seed=cfg.seed, workers=cfg.workers,
     )
     frontiers = per_method_frontiers(records)
-    report(records, frontiers, out, meta["gold_sparsity"])
-    print(f"sweep: {len(records)} records over {len(methods)} methods -> {out}/sweep.csv")
+    report(records, frontiers, cfg.out, meta["gold_sparsity"])
+    print(f"sweep: {len(records)} records over {len(cfg.methods)} methods -> {cfg.out}/sweep.csv")
     return 0
 
 
 def cmd_pareto(args) -> int:
-    cfg, seed, alpha, causal, out = _common(args)
-    path = _opt(args, cfg, "records", os.path.join(out, "sweep.csv"))
-    records = read_sweep_csv(path)
+    cfg = _common(args)
+    records = read_sweep_csv(cfg.records)
     if not records:
-        raise DataError(f"{path}: no records")
+        raise DataError(f"{cfg.records}: no records")
     frontiers = per_method_frontiers(records)
-    dest = os.path.join(out, "pareto.csv")
+    dest = os.path.join(cfg.out, "pareto.csv")
     write_pareto_csv(frontiers, dest)
     total = sum(len(f) for f in frontiers.values())
     print(f"pareto: {total} frontier points across {len(frontiers)} methods -> {dest}")
@@ -322,23 +328,16 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg, seed, alpha, causal, out = _common(args)
-    params = EntmaxParams(alpha=alpha)
-    n = int(cfg.get("bench_n", 256))
-    d = int(cfg.get("bench_d", 64))
-    z_list = [int(z) for z in cfg.get("z_list", [8, 16])]
-    top_k_list = [int(k) for k in cfg.get("top_k_list", [2, 4, 8])]
-    variants = list(cfg.get("variants", ["v1", "v2"]))
-    window = int(cfg.get("bench_window", 3))
-    repeats = int(cfg.get("repeats", 5))
+    cfg = _common(args)
+    params = EntmaxParams(alpha=cfg.alpha)
     records = []
-    for z in z_list:
-        for variant in variants:
-            for top_k in top_k_list:
+    for z in cfg.z_list:
+        for variant in cfg.variants:
+            for top_k in cfg.top_k_list:
                 rec = bench_masked_attention(
-                    n, d, z, BlockBudget(top_k, variant),
-                    window=window, repeats=repeats, seed=seed, causal=causal,
-                    params=params,
+                    cfg.bench_n, cfg.bench_d, z, BlockBudget(top_k, variant),
+                    window=cfg.bench_window, repeats=cfg.repeats, seed=cfg.seed,
+                    causal=cfg.causal, params=params,
                 )
                 records.append(rec)
                 print(
@@ -346,21 +345,20 @@ def cmd_bench(args) -> int:
                     f"dense {rec.dense_median_ms:.2f} ms, block {rec.block_median_ms:.2f} ms, "
                     f"recall {rec.recall:.3f}, sparsity {rec.sparsity:.3f}"
                 )
-    dest = os.path.join(out, "bench.csv")
+    dest = os.path.join(cfg.out, "bench.csv")
     write_bench_csv(records, dest)
     print(f"bench: wrote {dest}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg, seed, alpha, causal, out = _common(args)
-    trials = int(_opt(args, cfg, "trials", 1000))
-    failures = audit_sparse_consistency(trials=trials, seed=seed, alpha=alpha)
-    head_failures = audit_sparse_attention(seed=seed, alpha=alpha)
+    cfg = _common(args)
+    failures = audit_sparse_consistency(trials=cfg.trials, seed=cfg.seed, alpha=cfg.alpha)
+    head_failures = audit_sparse_attention(seed=cfg.seed, alpha=cfg.alpha)
     heads = len(AUDIT_HEADS)
     if failures or head_failures:
         print(
-            f"verify: FAIL: {len(failures)}/{trials} dominating-mask trials and "
+            f"verify: FAIL: {len(failures)}/{cfg.trials} dominating-mask trials and "
             f"{len(head_failures)}/{heads} sparse-attention heads violate sparse consistency"
         )
         for f in failures[:10]:
@@ -369,18 +367,33 @@ def cmd_verify(args) -> int:
             print(f"  head {f['head']}: n={f['n']} causal={f['causal']} "
                   f"max diff {f['max_abs_diff']:.3g}")
         return 4
-    print(f"verify: OK: {trials} random dominating-mask trials and {heads} "
+    print(f"verify: OK: {cfg.trials} random dominating-mask trials and {heads} "
           f"sparse-attention heads, zero violations")
     return 0
+
+
+# subcommand: (function, help, the config keys that it also takes as flags)
+_COMMANDS = {
+    "gen": (cmd_gen, "generate synthetic instances", ()),
+    "extract": (cmd_extract, "extract gold graphs from Q/K", ("data", "graphs")),
+    "train-proj": (cmd_train_proj, "train per-head projections", ("data", "graphs", "proj")),
+    "fit-kmeans": (cmd_fit_kmeans, "fit centroids per head", ("data", "proj", "kmeans")),
+    "sweep": (cmd_sweep, "run the hyperparameter sweep",
+              ("data", "graphs", "proj", "kmeans", "workers")),
+    "pareto": (cmd_pareto, "recompute frontiers from sweep.csv", ("records",)),
+    "bench": (cmd_bench, "block-attention micro-benchmark", ()),
+    "verify": (cmd_verify, "sparse-consistency audit", ("trials",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master RNG seed (default 0)")
     common.add_argument("--alpha", type=float, default=None, help="entmax alpha (default 1.5)")
-    common.add_argument("--causal", action="store_true", help="use causal (decoder) attention")
+    common.add_argument("--causal", action="store_true", default=None,
+                        help="use causal (decoder) attention")
     common.add_argument("--config", default="", help="JSON config file")
-    common.add_argument("--out", default="", help="output directory (default .)")
+    common.add_argument("--out", default=None, help="output directory (default .)")
 
     parser = argparse.ArgumentParser(
         prog="sparseattn",
@@ -388,45 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate synthetic instances")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("extract", parents=[common], help="extract gold graphs from Q/K")
-    p.add_argument("--data", default=None, help="data manifest or directory")
-    p.add_argument("--graphs", default=None, help="graph output directory")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("train-proj", parents=[common], help="train per-head projections")
-    p.add_argument("--data", default=None)
-    p.add_argument("--graphs", default=None)
-    p.add_argument("--proj", default=None, help="projection output directory")
-    p.set_defaults(func=cmd_train_proj)
-
-    p = sub.add_parser("fit-kmeans", parents=[common], help="fit centroids per head")
-    p.add_argument("--data", default=None)
-    p.add_argument("--proj", default=None)
-    p.add_argument("--kmeans", default=None, help="centroid output directory")
-    p.set_defaults(func=cmd_fit_kmeans)
-
-    p = sub.add_parser("sweep", parents=[common], help="run the hyperparameter sweep")
-    p.add_argument("--data", default=None)
-    p.add_argument("--graphs", default=None)
-    p.add_argument("--proj", default=None)
-    p.add_argument("--kmeans", default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes over which the (method, params) groups are spread")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("pareto", parents=[common], help="recompute frontiers from sweep.csv")
-    p.add_argument("--records", default=None, help="path to sweep.csv")
-    p.set_defaults(func=cmd_pareto)
-
-    p = sub.add_parser("bench", parents=[common], help="block-attention micro-benchmark")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("verify", parents=[common], help="sparse-consistency audit")
-    p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
+    for name, (func, help_, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_)
+        for key in keys:
+            p.add_argument(f"--{key}", type=KEYS[key][0], default=None,
+                           help=f"overrides the config key {key!r}")
+        p.set_defaults(func=func)
     return parser
 
 

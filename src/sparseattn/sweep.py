@@ -22,6 +22,8 @@ its bit mask and its count of gold edges per instance.
 
 import csv
 import json
+import math
+import numbers
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -78,6 +80,12 @@ DEFAULT_GRIDS = {
     "routing": {"c": [2, 4, 6, 8, 10]},
 }
 
+# the element kind and least value of each grid parameter
+_GRID_VALUES = {
+    "t": (float, 0), "beta": (int, 1), "B": (int, 1), "k": (int, 1), "num_blocks": (int, 0),
+    "num_globals": (int, 0), "num_buckets": (int, 1), "rounds": (int, 1), "c": (int, 1),
+}
+
 DEFAULT_WINDOWS = (0, 1, 3, 5, 7, 9, 11, 15, 19, 23, 27)
 
 SWEEP_CSV_COLUMNS = ["method", "hyperparams", "layer", "head", "sparsity", "recall", "runtime_ms"]
@@ -105,13 +113,29 @@ class ParetoPoint:
     recall: float
 
 
-def _int_list(name, values) -> tuple:
-    """``values`` as a tuple of ints; a list or tuple of integers, else ConfigError."""
-    if not isinstance(values, (list, tuple)) or not all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values
-    ):
-        raise ConfigError(f"{name} must be a list of integers, got {values!r}")
-    return tuple(int(v) for v in values)
+def check_value(name, value, kind, least=None):
+    """``value`` cast to ``kind`` (int, float, bool, str, dict, or ``[kind]``
+    for a non-empty list without repeats, cast to a tuple), at least
+    ``least`` if given; else ConfigError.  An int is an integer and not a
+    bool; a float is a finite integer or float and not a bool."""
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        items = tuple(check_value(name, v, kind[0], least) for v in value)
+        if len(set(items)) < len(items):
+            raise ConfigError(f"{name} must not repeat an element, got {list(value)!r}")
+        return items
+    try:
+        ok = (isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+              and (kind is bool or not isinstance(value, bool))
+              and (kind is not float or math.isfinite(value)))
+    except OverflowError:  # an integer beyond the range of a float
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -123,16 +147,12 @@ class PatternGrid:
     def __post_init__(self):
         if self.global_mode not in ("random", "prefix"):
             raise ConfigError(f"global_mode must be random or prefix, got {self.global_mode!r}")
-        windows = _int_list("windows", self.windows)
-        if not windows:
-            raise ConfigError("pattern grid needs at least one window size")
-        if any(w < 0 or (w > 0 and w % 2 == 0) for w in windows):
+        windows = check_value("windows", self.windows, [int], 0)
+        if any(w % 2 == 0 for w in windows if w > 0):
             raise ConfigError(f"windows must be 0 or odd positive integers, got {list(windows)}")
-        global_counts = _int_list("global_counts", self.global_counts)
-        if any(g < 0 for g in global_counts):
-            raise ConfigError(f"global_counts must be nonnegative integers, got {list(global_counts)}")
         object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "global_counts", global_counts)
+        object.__setattr__(self, "global_counts",
+                           check_value("global_counts", self.global_counts, [int], 0))
 
 
 @dataclass
@@ -150,27 +170,23 @@ def _grid_for(method: str, grids: dict) -> dict:
 
 
 def _validate_grids(methods, grids):
-    """ConfigError unless every method is known and every grid names a known
-    method, only parameters of that method, and a non-empty list of values
-    for each."""
-    for method in methods:
+    """ConfigError unless the methods are known and distinct, and every grid
+    names a known method, only parameters of that method, and for each a
+    non-empty list of distinct values of the parameter's type and range."""
+    for method in check_value("methods", methods, [str]):
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    if not isinstance(grids, dict):
-        raise ConfigError("'grids' must map method names to parameter grids")
-    for method, grid in grids.items():
+    for method, grid in check_value("grids", grids, dict).items():
         if method not in METHODS:
             raise ConfigError(f"grid for unknown method {method!r}; choose from {METHODS}")
-        if not isinstance(grid, dict):
-            raise ConfigError(f"the grid of {method!r} must map parameter names to lists")
-        for name, values in grid.items():
+        for name, values in check_value(f"grid {method}", grid, dict).items():
             if name not in DEFAULT_GRIDS[method]:
                 raise ConfigError(
                     f"method {method!r} has no parameter {name!r}; "
                     f"its parameters are {sorted(DEFAULT_GRIDS[method])}"
                 )
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ConfigError(f"grid {method}.{name} must be a non-empty list, got {values!r}")
+            kind, least = _GRID_VALUES[name]
+            check_value(f"grid {method}.{name}", values, [kind], least)
 
 
 def _hp_str(hp: dict) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -211,8 +212,31 @@ class TestExitCodes:
         ([], {"grids": {"clusterin": {"B": [4]}}}),
         ([], {"grids": {"distance": {"t": []}}}),
         ([], {"grids": {"distance": {"t": 1.0}}}),
+        ([], {"lerning_rate": 0.01}),
+        ([], {"causal": "false"}),
+        ([], {"epochs": 1.9}),
+        ([], {"epochs": 2.0}),
+        ([], {"n": 8.0}),
+        ([], {"margin": True}),
+        ([], {"B_list": []}),
+        ([], {"B_list": [2, 2]}),
+        ([], {"grids": {"quantization": {"beta": [2.5]}}}),
+        ([], {"grids": {"quantization": {"beta": ["2"]}}}),
+        ([], {"grids": {"quantization": {"beta": [2, 2]}}}),
+        ([], {"windows": [3, 3]}),
+        ([], {"trials": -1}),
+        ([], {"trials": 0}),
+        ([], {"kmeans_sample": -1}),
+        ([], {"seed": 1.5}),
+        ([], {"workers": "2"}),
+        ([], {"methods": ["window", "window"]}),
     ], ids=["workers-0", "workers-negative", "negative-globals", "windows-string", "even-window",
-            "unknown-parameter", "unknown-method-grid", "empty-grid", "scalar-grid"])
+            "unknown-parameter", "unknown-method-grid", "empty-grid", "scalar-grid",
+            "unknown-key", "string-for-bool", "float-for-int", "integral-float-for-int",
+            "float-size", "bool-for-number", "empty-list", "repeated-list-element",
+            "fractional-grid-int", "string-grid-int", "repeated-grid-value", "repeated-window",
+            "negative-trials", "zero-trials", "negative-kmeans-sample",
+            "fractional-seed", "string-workers", "repeated-method"])
     def test_invalid_sweep_setting_rejected_before_any_work(self, exp, monkeypatch, extra, setting):
         tmp_path, cfg_path, out, _ = exp
         cfg = json.loads(cfg_path.read_text())
@@ -228,6 +252,24 @@ class TestExitCodes:
         argv = ["sweep", "--config", str(bad), "--out", out, "--seed", "5"] + extra
         assert cli.main(argv) == 2
         assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
+    @pytest.mark.parametrize("setting", [
+        {"lerning_rate": 0.01}, {"causal": "false"}, {"epochs": 1.9},
+        {"grids": {"quantization": {"beta": [2.5]}}},
+    ], ids=["unknown-key", "string-for-bool", "float-for-int", "float-in-int-grid"])
+    @pytest.mark.parametrize("cmd", ["gen", "train-proj", "fit-kmeans", "bench", "verify"])
+    def test_bad_config_rejected_before_any_output(self, tmp_path, monkeypatch, cmd, setting):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{cmd} started work before rejecting the config")
+
+        for name in ("load_qk", "generate_instances", "bench_masked_attention",
+                     "audit_sparse_consistency"):
+            monkeypatch.setattr(cli, name, no_work)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(setting))
+        out = tmp_path / "out"
+        assert cli.main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_verify_reports_violations_with_exit_4(self, monkeypatch):
         monkeypatch.setattr(
@@ -247,3 +289,38 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert cli.main(["no-such-command"]) == 2
         capsys.readouterr()
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("name", ["SWEEP_CONFIG", "FIT_CONFIG"])
+    @pytest.mark.parametrize("cmd", ["gen", "extract", "train-proj", "fit-kmeans", "sweep",
+                                     "pareto", "bench", "verify"])
+    def test_every_stage_accepts_the_benchmark_configs(self, tmp_path, monkeypatch, cmd, name):
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import workloads
+
+        setting = getattr(workloads, name)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(setting))
+        cfg = cli._common(cli.build_parser().parse_args([cmd, "--config", str(path)]))
+        assert cfg.n == cfg.m == setting["n"]
+        assert cfg.B_list == tuple(setting["B_list"])
+
+    def test_defaults_and_flags(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        out = str(tmp_path / "o")
+        path.write_text(json.dumps({"n": 12, "seed": 3, "out": out, "causal": False}))
+        args = ["sweep", "--config", str(path), "--seed", "4", "--causal", "--workers", "2"]
+        cfg = cli._common(cli.build_parser().parse_args(args))
+        assert (cfg.n, cfg.m, cfg.seed, cfg.causal, cfg.workers) == (12, 12, 4, True, 2)
+        assert (cfg.alpha, cfg.epochs, cfg.kmeans_n_init) == (1.5, 1, 10)
+        assert cfg.data == os.path.join(out, "data") and cfg.records == os.path.join(out, "sweep.csv")
+        with pytest.raises(AttributeError):
+            cfg.n = 13
+
+    def test_readme_table_lists_every_key(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            names = re.findall(r"^\| `(\w+)` \|", fh.read(), flags=re.MULTILINE)
+        assert sorted(names) == sorted(cli.KEYS)
+        assert len(names) == len(set(names))

@@ -151,10 +151,15 @@ class TestRunSweep:
         mats, golds, arts = small_setup()
         with pytest.raises(ConfigError, match="unknown method"):
             run_sweep(mats, ["sliding"], artifacts=arts)
+        with pytest.raises(ConfigError, match="repeat"):
+            run_sweep(mats, ["window", "window"], artifacts=arts)
 
     @pytest.mark.parametrize("grids", [
         {"distance": {"tt": [1.0]}}, {"clusterin": {"B": [4]}}, {"distance": {"t": []}},
         {"distance": {"t": 1.0}}, {"distance": [1.0]}, [("distance", {"t": [1.0]})],
+        {"quantization": {"beta": [2.5]}}, {"quantization": {"beta": ["2"]}},
+        {"quantization": {"beta": [2, 2]}}, {"distance": {"t": [-1.0]}},
+        {"distance": {"t": [float("nan")]}}, {"bigbird": {"num_blocks": [True]}},
     ])
     def test_invalid_grid_raises_config_error(self, grids):
         mats, golds, arts = small_setup()
@@ -306,7 +311,8 @@ class TestPatternGridValidation:
         {"windows": "37"}, {"windows": 3}, {"windows": (0, 2)}, {"windows": (-1,)},
         {"windows": (3.0,)}, {"windows": (True,)}, {"windows": ()},
         {"global_counts": (-1,)}, {"global_counts": "2"}, {"global_counts": (0.5,)},
-        {"global_mode": "first"},
+        {"global_mode": "first"}, {"windows": (3, 3)}, {"global_counts": (0, 0)},
+        {"global_counts": ()}, {"global_counts": (np.float64(1.0),)},
     ])
     def test_invalid_settings_raise_config_error(self, kwargs):
         with pytest.raises(ConfigError):
