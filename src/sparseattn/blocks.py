@@ -27,8 +27,14 @@ from .graph import (
     recall,
     sparsity,
 )
-from .kmeans import Centroids, KMeansConfig, assign_topk_membership, kmeans_fit
-from .predictors import BucketAssignment, PatternConfig, buckets_to_graph, window_global_graph
+from .kmeans import Centroids, KMeansConfig, kmeans_fit
+from .predictors import (
+    PatternConfig,
+    _block_pairs_graph,
+    buckets_to_graph,
+    cluster_qk,
+    window_global_graph,
+)
 from .projection import TrainConfig, build_pair_dataset, project_rows, train_projection
 
 BENCH_CSV_COLUMNS = [
@@ -119,13 +125,10 @@ def select_blocks_v1(
     Kb = np.asarray(Kb, dtype=np.float64)
     scores = Qb @ Kb.T
     nb, mb = scores.shape
-    dense = np.zeros((nb, mb), dtype=bool)
-    for i in range(nb):
-        admissible = min(i + 1, mb) if causal else mb
-        k = min(budget.top_k_blocks, admissible)
-        order = np.argsort(-scores[i, :admissible], kind="stable")
-        dense[i, order[:k]] = True
-    return ChunkedGraph(z, AttentionGraph.from_dense(dense, causal=causal))
+    edges = [(i, j) for i in range(nb)
+             for j in np.argsort(-scores[i, : min(i + 1, mb) if causal else mb],
+                                 kind="stable")[: budget.top_k_blocks]]
+    return ChunkedGraph(z, AttentionGraph(nb, mb, edges, causal=causal))
 
 
 def select_blocks_v2(
@@ -133,8 +136,7 @@ def select_blocks_v2(
 ) -> ChunkedGraph:
     """Block pair selected iff the blocks share a centroid among each side's
     top_k_blocks closest ones."""
-    qa = BucketAssignment(assign_topk_membership(Qb, centroids, budget.top_k_blocks))
-    ka = BucketAssignment(assign_topk_membership(Kb, centroids, budget.top_k_blocks))
+    qa, ka = cluster_qk(Qb, Kb, centroids, budget.top_k_blocks)
     return ChunkedGraph(z, buckets_to_graph(qa, ka, causal=causal))
 
 
@@ -149,13 +151,8 @@ def expand_blocks(cg: ChunkedGraph, n: int, m: int) -> AttentionGraph:
             f"{n}x{m} tokens with z={cg.z} does not match "
             f"{cg.n_blocks}x{cg.m_blocks} blocks"
         )
-    block_dense = cg.blocks.to_dense()
-    rows = np.arange(n) // cg.z
-    cols = np.arange(m) // cg.z
-    dense = block_dense[rows[:, None], cols[None, :]]
-    if cg.causal:
-        dense = dense & np.tril(np.ones((n, m), dtype=bool))
-    return AttentionGraph.from_dense(dense, causal=cg.causal)
+    lin = cg.blocks._lin
+    return _block_pairs_graph(n, m, lin // cg.m_blocks, lin % cg.m_blocks, cg.z, cg.causal)
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +169,9 @@ def graph_score_flops(g: AttentionGraph, d: int) -> int:
 
 
 def csr_from_graph(g: AttentionGraph):
-    """(indptr, cols) row-compressed form of the edge set."""
-    edges = g.edges
-    counts = np.bincount(edges[:, 0], minlength=g.n)
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, edges[:, 1].astype(np.int64).copy()
+    """(indptr, cols) row-compressed form of the edge set: row i's edges
+    are the sorted linear indices from i * m up to (i + 1) * m."""
+    return np.searchsorted(g._lin, np.arange(g.n + 1) * g.m), g._lin % g.m
 
 
 def sparse_attention_probs(
@@ -195,10 +189,9 @@ def sparse_attention_probs(
     indptr, cols = csr_from_graph(graph)
     scale = 1.0 / np.sqrt(sm.d)
     vals = _kernels.sparse_rows_entmax15(sm.Q, sm.K, indptr, cols, scale, params.alpha)
-    P = np.zeros((sm.n, sm.m))
-    rows = np.repeat(np.arange(sm.n), np.diff(indptr))
-    P[rows, cols] = vals
-    return P
+    P = np.zeros(sm.n * sm.m)
+    P[graph._lin] = vals
+    return P.reshape(sm.n, sm.m)
 
 
 # (n, causal) of the heads ``audit_sparse_attention`` checks.  At n = 512

@@ -36,6 +36,8 @@ from .kmeans import KMeansConfig, kmeans_fit, load_centroids, save_centroids
 from .projection import TrainConfig, build_pair_dataset, load_head, project_rows, save_head, train_projection
 from .sweep import (
     DEFAULT_GRIDS,
+    _CENTROID_GRID_KEY,
+    _NEEDS_PROJECTION,
     PatternGrid,
     SweepArtifacts,
     _validate_grids,
@@ -236,19 +238,13 @@ def cmd_train_proj(args) -> int:
     return 0
 
 
-def _load_proj_dir(proj_dir):
-    heads = {}
-    try:
-        names = sorted(os.listdir(proj_dir))
-    except FileNotFoundError:
-        raise ConfigError(f"projection directory not found: {proj_dir} (run 'train-proj')") from None
-    for name in names:
-        match = _PROJ_RE.match(name)
-        if match:
-            heads[(int(match.group(1)), int(match.group(2)))] = load_head(
-                os.path.join(proj_dir, name)
-            )
-    return heads
+def _load_dir(path, pattern, load, stage):
+    """``load`` of every file in ``path`` whose name matches ``pattern``,
+    keyed by the integers the pattern captures."""
+    if not os.path.isdir(path):
+        raise ConfigError(f"directory not found: {path} (run '{stage}')")
+    return {tuple(map(int, match.groups())): load(os.path.join(path, name))
+            for name in sorted(os.listdir(path)) if (match := pattern.match(name))}
 
 
 def _pooled_projected(mats, head):
@@ -263,7 +259,7 @@ def cmd_fit_kmeans(args) -> int:
     cfg = _common(args)
     km_cfg = _build(KMeansConfig, cfg, "kmeans_", seed=cfg.seed)
     mats = _load_instances(cfg)
-    heads = _load_proj_dir(cfg.proj)
+    heads = _load_dir(cfg.proj, _PROJ_RE, load_head, "train-proj")
     os.makedirs(cfg.kmeans, exist_ok=True)
     for (layer, head_idx), group in sorted(_instances_by_head(mats).items()):
         if (layer, head_idx) not in heads:
@@ -281,18 +277,6 @@ def cmd_fit_kmeans(args) -> int:
     return 0
 
 
-def _load_kmeans_dir(km_dir):
-    centroids = {}
-    if not os.path.isdir(km_dir):
-        return centroids
-    for name in sorted(os.listdir(km_dir)):
-        match = _KMEANS_RE.match(name)
-        if match:
-            key = (int(match.group(1)), int(match.group(2)), int(match.group(3)))
-            centroids[key] = load_centroids(os.path.join(km_dir, name))
-    return centroids
-
-
 def cmd_sweep(args) -> int:
     cfg = _common(args)
     pattern_grid = PatternGrid(cfg.windows, cfg.global_counts, cfg.global_mode)
@@ -303,10 +287,15 @@ def cmd_sweep(args) -> int:
             f"gold graphs were extracted at alpha {meta.get('alpha')}, the sweep runs at "
             f"alpha {cfg.alpha}; re-run 'extract' with --alpha {cfg.alpha}"
         )
-    artifacts = SweepArtifacts(_load_proj_dir(cfg.proj), _load_kmeans_dir(cfg.kmeans))
+    methods = set(cfg.methods)  # load only what a swept method uses
+    heads = (_load_dir(cfg.proj, _PROJ_RE, load_head, "train-proj")
+             if methods & _NEEDS_PROJECTION else {})
+    centroids = (_load_dir(cfg.kmeans, _KMEANS_RE, load_centroids, "fit-kmeans")
+                 if methods & _CENTROID_GRID_KEY.keys() else {})
     records = run_sweep(
         mats, cfg.methods, grids=cfg.grids, pattern_grid=pattern_grid,
-        artifacts=artifacts, alpha=cfg.alpha, seed=cfg.seed, workers=cfg.workers,
+        artifacts=SweepArtifacts(heads, centroids), alpha=cfg.alpha, seed=cfg.seed,
+        workers=cfg.workers,
     )
     frontiers = per_method_frontiers(records)
     report(records, frontiers, cfg.out, meta["gold_sparsity"])

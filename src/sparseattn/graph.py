@@ -84,8 +84,8 @@ class AttentionGraph:
     sorted and unique, so that iteration order, metrics, and file output
     are reproducible.  ``__init__`` accepts any edge list (duplicates and
     any order) and establishes that invariant with ``np.unique``; the
-    private ``_from_sorted_lin``, used by ``from_dense`` and
-    ``graph_union``, trusts its input to hold it already.
+    private ``_from_sorted_lin``, used by every builder that emits sorted
+    indices, trusts its input to hold it already.
     """
 
     __slots__ = ("n", "m", "causal", "_lin")
@@ -163,11 +163,36 @@ class AttentionGraph:
         return f"AttentionGraph({self.n}x{self.m}, {kind}, {self.edge_count} edges)"
 
 
-def admissible_mask(n: int, m: int, causal: bool) -> np.ndarray:
-    """Boolean (n, m) mask of admissible positions (lower triangle if causal)."""
-    if causal:
-        return np.tril(np.ones((n, n), dtype=bool))
-    return np.ones((n, m), dtype=bool)
+def _ranges(starts, lengths):
+    """Concatenation of ``arange(s, s + l)`` over the pairs of starts and lengths."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    # each output cell is its segment's start plus its offset in the segment
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(int(ends[-1]) if ends.size else 0)
+
+
+def _row_block_graph(n, m, causal, rule) -> AttentionGraph:
+    """Graph of the cells where ``rule(r0, r1, c1)`` holds.
+
+    ``rule`` returns a fresh boolean block over queries r0..r1-1 and keys
+    0..c1-1.  Blocks hold at most ``_kernels._BATCH_CELLS`` cells, a causal
+    block stops at its last row's diagonal and is cut to the lower
+    triangle, and row-major ``flatnonzero`` keeps the edges sorted.
+    """
+    n, m = _graph_shape(n, m, causal)
+    step = max(1, _kernels._BATCH_CELLS // m)
+    parts = []
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        c1 = r1 if causal else m
+        block = rule(r0, r1, c1)
+        if causal:
+            block &= np.tri(r1 - r0, c1, r0, dtype=bool)
+        flat = np.flatnonzero(block)
+        parts.append(flat + r0 * m if c1 == m else (flat // c1 + r0) * m + flat % c1)
+    lin = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return AttentionGraph._from_sorted_lin(n, m, lin, causal)
 
 
 def admissible_count(n: int, m: int, causal: bool) -> int:
@@ -187,14 +212,25 @@ def attention_probs(sm: ScoreMatrix, params: EntmaxParams = DEFAULT_PARAMS) -> n
     gold support.
     """
     Z = attention_scores(sm)
-    valid = admissible_mask(sm.n, sm.m, sm.causal)
+    valid = np.tri(sm.n, sm.m, dtype=bool) if sm.causal else np.ones(Z.shape, bool)
     return _kernels.entmax15_masked_rows(Z, valid, params.alpha)
 
 
 def extract_graph(sm: ScoreMatrix, params: EntmaxParams = DEFAULT_PARAMS) -> AttentionGraph:
-    """Ground-truth attention graph: edges where entmax probability > 0."""
-    P = attention_probs(sm, params)
-    return AttentionGraph.from_dense(P > SUPPORT_TOL, causal=sm.causal)
+    """Ground-truth attention graph: edges where entmax probability > 0.
+
+    Solved one row block at a time, without an n x m array.  The blocks are
+    the dense kernel's own chunks, scored as ``attention_scores`` scores
+    them, so each row is solved as in ``attention_probs``.
+    """
+    scale = np.sqrt(sm.d)
+
+    def support(r0, r1, c1):
+        Z = (sm.Q[r0:r1] @ sm.K[:c1].T) / scale
+        valid = np.tri(r1 - r0, c1, r0, dtype=bool) if sm.causal else np.ones(Z.shape, bool)
+        return _kernels.entmax15_masked_rows(Z, valid, params.alpha) > SUPPORT_TOL
+
+    return _row_block_graph(sm.n, sm.m, sm.causal, support)
 
 
 def _check_same_shape(a: AttentionGraph, b: AttentionGraph):

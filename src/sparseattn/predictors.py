@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .graph import AttentionGraph, _graph_shape, graph_union
+from .graph import AttentionGraph, _graph_shape, _ranges, _row_block_graph, graph_union
 from .kmeans import Centroids, assign_topk_membership
 
 
@@ -70,38 +70,6 @@ class PatternConfig:
         if g and g[0] < 0:
             raise ValueError("global token indices must be nonnegative")
         object.__setattr__(self, "global_tokens", g)
-
-
-def _ranges(starts, lengths):
-    """Concatenation of ``arange(s, s + l)`` over the pairs of starts and lengths."""
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    # each output cell is its segment's start plus its offset in the segment
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(int(ends[-1]) if ends.size else 0)
-
-
-def _row_block_graph(n, m, causal, rule) -> AttentionGraph:
-    """Graph of the cells where ``rule(r0, r1, c1)`` holds.
-
-    ``rule`` returns a fresh boolean block over queries r0..r1-1 and keys
-    0..c1-1.  Blocks hold at most ``_kernels._BATCH_CELLS`` cells, a causal
-    block stops at its last row's diagonal and is cut to the lower
-    triangle, and row-major ``flatnonzero`` keeps the edges sorted.
-    """
-    n, m = _graph_shape(n, m, causal)
-    step = max(1, _kernels._BATCH_CELLS // m)
-    parts = []
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        c1 = r1 if causal else m
-        block = rule(r0, r1, c1)
-        if causal:
-            block &= np.tri(r1 - r0, c1, r0, dtype=bool)
-        flat = np.flatnonzero(block)
-        parts.append(flat + r0 * m if c1 == m else (flat // c1 + r0) * m + flat % c1)
-    lin = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return AttentionGraph._from_sorted_lin(n, m, lin, causal)
 
 
 def distance_pairing(Qp, Kp, t: float, causal: bool = False) -> AttentionGraph:
@@ -255,15 +223,26 @@ def bigbird_random_blocks(
     bj = drawn - (ends[bi] - per_row[bi])
     if not causal:
         bj += bj >= bi  # skip the diagonal block
-    # one run of keys per (block, row); the runs are disjoint, so sorting
-    # their starts sorts the edges
-    r0, c0 = bi * block_size, bj * block_size
-    height = np.minimum(r0 + block_size, n) - r0
-    width = np.minimum(c0 + block_size, m) - c0
-    starts = _ranges(r0, height) * m + np.repeat(c0, height)
-    lengths = np.repeat(width, height)
+    return _block_pairs_graph(n, m, bi, bj, block_size, causal)
+
+
+def _block_pairs_graph(n, m, bi, bj, z, causal) -> AttentionGraph:
+    """Graph of every cell of the distinct z x z blocks (bi, bj), cut to the
+    n x m grid and, if causal, to j <= i.
+
+    Each (block, row) is one run of keys, ending at min(c0 + z, m, i + 1)
+    for a causal block; the runs are disjoint, so sorting their starts
+    sorts the edges.
+    """
+    n, m = _graph_shape(n, m, causal)
+    height = np.minimum(bi * z + z, n) - bi * z
+    rows = _ranges(bi * z, height)
+    c0 = np.repeat(bj * z, height)
+    ends = np.minimum(np.minimum(c0 + z, m), rows + 1 if causal else m)
+    starts = rows * m + c0
     order = np.argsort(starts)
-    return AttentionGraph._from_sorted_lin(n, m, _ranges(starts[order], lengths[order]), causal)
+    lengths = np.maximum(ends - c0, 0)[order]
+    return AttentionGraph._from_sorted_lin(n, m, _ranges(starts[order], lengths), causal)
 
 
 def lsh_assign(X, rounds: int, num_buckets: int, seed: int = 0) -> BucketAssignment:

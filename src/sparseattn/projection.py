@@ -73,34 +73,43 @@ class TrainConfig:
 
 
 class PairDataset:
-    """Positive query/key pairs plus the key pool used for negative sampling.
+    """Positive query/key pairs as row indices into stacked queries and keys.
 
-    ``eligible`` gives, per query id, the indices into ``keys`` that are
-    valid negatives for its pairs: same instance, not connected to the query
-    in the source graph.  They are stored flat: query q's are
-    ``eligible_keys[eligible_offsets[q]:eligible_offsets[q + 1]]``.
+    Pair p joins query row ``q_rows[p]`` of ``Q`` to key row ``k_rows[p]``
+    of ``K``.  The pairs are sorted by query row, then key row, without
+    repeats, so each query's positive keys form one sorted run.  Query row
+    q draws its negatives from the keys in ``key_lo[q]..key_hi[q]-1`` (its
+    instance's keys) that it is not paired with.
     """
 
-    def __init__(self, queries, pos_keys, keys, query_ids, eligible, rng_seed=0):
-        self.queries = _frozen(queries)
-        self.pos_keys = _frozen(pos_keys)
-        self.keys = _frozen(keys)
-        self.query_ids = _frozen(query_ids, dtype=np.int64)
-        eligible = [np.asarray(e, dtype=np.int64).ravel() for e in eligible]
-        self.eligible_keys = np.concatenate([np.zeros(0, np.int64), *eligible])
-        self.eligible_offsets = np.cumsum([0] + [e.size for e in eligible])
-        self.eligible_keys.setflags(write=False)  # both are fresh arrays: no copy needed
-        self.eligible_offsets.setflags(write=False)
+    def __init__(self, Q, K, q_rows, k_rows, key_lo, key_hi, rng_seed=0):
+        self.Q = _frozen(Q)
+        self.K = _frozen(K)
+        self.q_rows, self.k_rows, self.key_lo, self.key_hi = (
+            _frozen(a, dtype=np.int64) for a in (q_rows, k_rows, key_lo, key_hi))
         self.rng_seed = int(rng_seed)
-        if len(self.queries) != len(self.pos_keys) or len(self.queries) != len(self.query_ids):
-            raise ValueError("queries, pos_keys and query_ids must have equal length")
+        q, k, n = self.q_rows, self.k_rows, len(self.Q)
+        if k.shape != q.shape or self.key_lo.shape != (n,) or self.key_hi.shape != (n,):
+            raise ValueError("expected one key row per query row, one key range per row of Q")
+        if q.size and (q[0] < 0 or q[-1] >= n or np.any(np.diff(q * len(self.K) + k) <= 0)):
+            raise ValueError("pairs must be distinct (query row, key row) pairs in sorted order")
+        lo, hi = self.key_lo, self.key_hi
+        if np.any((lo < 0) | (hi < lo) | (hi > len(self.K))) or np.any((k < lo[q]) | (k >= hi[q])):
+            raise ValueError("each key range must lie within K and hold its query's keys")
+        deg = np.bincount(q, minlength=n)
+        self._first = np.cumsum(deg) - deg  # each query row's first pair
+        self._free = hi - lo - deg  # its unpaired keys
+        # pair p's count of unpaired keys below its key, shifted per query row
+        # by ``_base`` so that the runs of every row ascend together
+        self._base = np.cumsum(self._free + 1) - (self._free + 1)
+        self._gaps = k - lo[q] - (np.arange(q.size) - self._first[q]) + self._base[q]
 
     def __len__(self):
-        return len(self.queries)
+        return len(self.q_rows)
 
     @property
     def d(self) -> int:
-        return self.queries.shape[1]
+        return self.Q.shape[1]
 
 
 def build_pair_dataset(matrices, graphs, rng_seed=0, min_len=21) -> PairDataset:
@@ -108,13 +117,11 @@ def build_pair_dataset(matrices, graphs, rng_seed=0, min_len=21) -> PairDataset:
 
     Only instances with at least ``min_len`` query tokens contribute
     (default keeps instances longer than 20 tokens).  Every edge is one
-    positive pair, in edge order; query ids number the distinct queries with
-    an edge in that order.  Negatives for a query are all keys of the same
-    instance it is not connected to.
+    positive pair, in edge order.  Negatives for a query are all keys of the
+    same instance it is not connected to.
     """
-    q_rows, key_rows, q_idx, k_idx, query_ids, eligible = [], [], [], [], [], []
-    q_offset = key_offset = num_queries = 0
-    kept = 0
+    Qs, Ks, q_rows, k_rows, key_lo, key_hi = [], [], [], [], [], []
+    q_offset = key_offset = 0
     for sm, g in zip(matrices, graphs):
         if not isinstance(sm, ScoreMatrix) or not isinstance(g, AttentionGraph):
             raise ValueError("expected (ScoreMatrix, AttentionGraph) pairs")
@@ -122,48 +129,38 @@ def build_pair_dataset(matrices, graphs, rng_seed=0, min_len=21) -> PairDataset:
             raise ValueError("graph does not match its score matrix")
         if sm.n < min_len:
             continue
-        kept += 1
-        q_rows.append(sm.Q)
-        key_rows.append(sm.K)
-        edges = g.edges
-        rows, qid = np.unique(edges[:, 0], return_inverse=True)
-        q_idx.append(q_offset + edges[:, 0])
-        k_idx.append(key_offset + edges[:, 1])
-        query_ids.append(num_queries + qid)
-        free = ~g.to_dense()[rows]
-        cols = key_offset + np.nonzero(free)[1]
-        # (np.split of an instance without edges still yields one piece)
-        eligible += np.split(cols, np.cumsum(np.count_nonzero(free, axis=1))[:-1])[: rows.size]
-        num_queries += rows.size
+        Qs.append(sm.Q)
+        Ks.append(sm.K)
+        q_rows.append(q_offset + g._lin // g.m)
+        k_rows.append(key_offset + g._lin % g.m)
+        key_lo.append(np.full(sm.n, key_offset))
+        key_hi.append(np.full(sm.n, key_offset + sm.m))
         q_offset += sm.n
         key_offset += sm.m
-    if not num_queries:
+    if not sum(r.size for r in q_rows):
         raise ValueError(
             "no positive pairs collected"
-            + ("" if kept else f" (no instance has n >= {min_len} tokens)")
+            + ("" if Qs else f" (no instance has n >= {min_len} tokens)")
         )
-    keys = np.concatenate(key_rows)
-    return PairDataset(
-        np.concatenate(q_rows)[np.concatenate(q_idx)],
-        keys[np.concatenate(k_idx)],
-        keys,
-        np.concatenate(query_ids),
-        eligible,
-        rng_seed=rng_seed,
-    )
+    return PairDataset(*map(np.concatenate, (Qs, Ks, q_rows, k_rows, key_lo, key_hi)),
+                       rng_seed=rng_seed)
 
 
 def draw_negatives(ds: PairDataset, pairs, rng):
     """Uniform negatives for positive pairs ``pairs``: (mask of the pairs
-    kept, their key indices into ``ds.keys``).  A pair whose query sees every
-    key is dropped; the rest take one draw each, in order, from a single
-    ``rng.integers`` call over their pool sizes.
+    kept, their key rows in ``ds.K``).  A pair whose query sees every key
+    of its range is dropped; the rest take one draw each, in order, from a
+    single ``rng.integers`` call over their counts of unpaired keys.  Draw
+    u becomes the u-th unpaired key of the range: u plus the number of the
+    query's positives with fewer than u + 1 unpaired keys below them.
     """
-    qid = ds.query_ids[pairs]
-    lo = ds.eligible_offsets[qid]
-    sizes = ds.eligible_offsets[qid + 1] - lo
+    q = ds.q_rows[pairs]
+    sizes = ds._free[q]
     kept = sizes > 0
-    return kept, ds.eligible_keys[lo[kept] + rng.integers(sizes[kept])]
+    q = q[kept]
+    u = rng.integers(sizes[kept])
+    u += np.searchsorted(ds._gaps, u + ds._base[q], side="right") - ds._first[q]
+    return kept, ds.key_lo[q] + u
 
 
 def project_rows(head: ProjectionHead, X) -> np.ndarray:
@@ -246,11 +243,11 @@ def train_projection(
         pairs = np.repeat(rng.permutation(len(ds)), per)
         kept, negs = draw_negatives(ds, pairs, rng_neg)
         pairs, batches = pairs[kept], batch_of[kept]
+        q_rows, k_rows = ds.q_rows[pairs], ds.k_rows[pairs]
         # the triples of each batch form one run of ``pairs``
         starts = np.flatnonzero(np.diff(batches, prepend=-1)).tolist()
         for lo, hi in zip(starts, starts[1:] + [pairs.size]):
-            p = pairs[lo:hi]
-            X = np.concatenate([ds.queries[p], ds.pos_keys[p], ds.keys[negs[lo:hi]]])
+            X = np.concatenate([ds.Q[q_rows[lo:hi]], ds.K[k_rows[lo:hi]], ds.K[negs[lo:hi]]])
             losses, gW = _hinge(W, X, cfg.margin)
             gW /= hi - lo
             if loss_history is not None:

@@ -170,9 +170,10 @@ def _grid_for(method: str, grids: dict) -> dict:
 
 
 def _validate_grids(methods, grids):
-    """ConfigError unless the methods are known and distinct, and every grid
+    """ConfigError unless the methods are known and distinct, every grid
     names a known method, only parameters of that method, and for each a
-    non-empty list of distinct values of the parameter's type and range."""
+    non-empty list of distinct values of the parameter's type and range,
+    and no clustering k exceeds the smallest B."""
     for method in check_value("methods", methods, [str]):
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
@@ -187,6 +188,10 @@ def _validate_grids(methods, grids):
                 )
             kind, least = _GRID_VALUES[name]
             check_value(f"grid {method}.{name}", values, [kind], least)
+    clustering = _grid_for("clustering", grids)
+    if max(clustering["k"]) > min(clustering["B"]):
+        raise ConfigError(f"clustering k must be at most the smallest B, "
+                          f"{min(clustering['B'])}, got {max(clustering['k'])}")
 
 
 def _hp_str(hp: dict) -> str:

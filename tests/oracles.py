@@ -154,6 +154,32 @@ def central_difference_grad(loss_fn, W, h=1e-5):
     return g
 
 
+def pair_lists(matrices, graphs):
+    """The positive pairs of (ScoreMatrix, graph) instances, from each
+    graph's edge set by plain loops: (query vectors, positive key vectors,
+    every key stacked, query ids, eligible key indices per query id).
+
+    Pairs are each instance's edges in (i, j) order; query ids number the
+    distinct queries with an edge in that order, and a query's eligible
+    keys are the keys of its own instance that it has no edge to.
+    """
+    queries, pos_keys, keys, query_ids, eligible = [], [], [], [], []
+    offset = 0
+    for sm, g in zip(matrices, graphs):
+        edges = g.edge_set()
+        ids = {}
+        for i, j in sorted(edges):
+            if i not in ids:
+                ids[i] = len(eligible)
+                eligible.append([offset + k for k in range(g.m) if (i, k) not in edges])
+            queries.append(sm.Q[i])
+            pos_keys.append(sm.K[j])
+            query_ids.append(ids[i])
+        keys.extend(sm.K)
+        offset += g.m
+    return np.array(queries), np.array(pos_keys), np.array(keys), np.array(query_ids), eligible
+
+
 def train_projection_per_pair(
     queries, pos_keys, keys, query_ids, eligible, *, r, margin, learning_rate, epochs,
     batch_size, negatives_per_positive, rng_seed, negative_seed,

@@ -190,9 +190,9 @@ def test_criterion_05_separable_learning_five_seeds():
         assert np.mean(hist[-tenth:]) <= np.mean(hist[:tenth])
         kept, negs = draw_negatives(ds, np.arange(len(ds)), np.random.default_rng(seed + 1000))
         assert kept.all()
-        qp = project_rows(head, ds.queries)
-        closer = np.linalg.norm(qp - project_rows(head, ds.pos_keys), axis=1) < np.linalg.norm(
-            qp - project_rows(head, ds.keys[negs]), axis=1
+        qp = project_rows(head, ds.Q[ds.q_rows])
+        closer = np.linalg.norm(qp - project_rows(head, ds.K[ds.k_rows]), axis=1) < np.linalg.norm(
+            qp - project_rows(head, ds.K[negs]), axis=1
         )
         frac = float(np.mean(closer))
         assert frac >= 0.95, f"seed {seed}: separation {frac}"

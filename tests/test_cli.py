@@ -99,6 +99,21 @@ class TestPipeline:
         os.remove(meta_path)
         assert cli.main(["sweep"] + base) == 3
 
+    def test_pattern_only_sweep_needs_no_projection(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "n": 8, "d": 4, "methods": ["window", "longformer"], "windows": [0, 3],
+            "grids": {"longformer": {"num_globals": [2]}},
+        }))
+        out = str(tmp_path / "exp")
+        base = ["--config", str(cfg), "--out", out]
+        assert cli.main(["gen"] + base) == 0
+        assert cli.main(["extract"] + base) == 0
+        assert cli.main(["sweep"] + base) == 0
+        assert not os.path.exists(os.path.join(out, "proj"))
+        records = read_sweep_csv(os.path.join(out, "sweep.csv"))
+        assert {r.method for r in records} == {"window", "longformer"}
+
     def test_bench_and_verify(self, exp, tmp_path):
         _, _, out, base = exp
         bench_cfg = tmp_path / "bench.json"
@@ -230,13 +245,14 @@ class TestExitCodes:
         ([], {"seed": 1.5}),
         ([], {"workers": "2"}),
         ([], {"methods": ["window", "window"]}),
+        ([], {"grids": {"clustering": {"B": [2], "k": [3]}}}),
     ], ids=["workers-0", "workers-negative", "negative-globals", "windows-string", "even-window",
             "unknown-parameter", "unknown-method-grid", "empty-grid", "scalar-grid",
             "unknown-key", "string-for-bool", "float-for-int", "integral-float-for-int",
             "float-size", "bool-for-number", "empty-list", "repeated-list-element",
             "fractional-grid-int", "string-grid-int", "repeated-grid-value", "repeated-window",
             "negative-trials", "zero-trials", "negative-kmeans-sample",
-            "fractional-seed", "string-workers", "repeated-method"])
+            "fractional-seed", "string-workers", "repeated-method", "clustering-k-above-B"])
     def test_invalid_sweep_setting_rejected_before_any_work(self, exp, monkeypatch, extra, setting):
         tmp_path, cfg_path, out, _ = exp
         cfg = json.loads(cfg_path.read_text())

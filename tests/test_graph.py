@@ -1,11 +1,17 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from sparseattn import (
     AttentionGraph,
     DataError,
+    SUPPORT_TOL,
     EntmaxParams,
     ScoreMatrix,
+    _kernels,
+    build_pair_dataset,
     attention_probs,
     attention_scores,
     extract_graph,
@@ -91,6 +97,25 @@ class TestExtractGraph:
         sm = ScoreMatrix(rng.normal(size=(10, 4)), rng.normal(size=(10, 4)), causal=True)
         g = extract_graph(sm)
         assert len({i for i, _ in g.edge_set()}) == 10
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0])
+    def test_row_blocks_equal_dense_threshold(self, alpha, causal):
+        # n = 1024 spans 16 row blocks of the dense kernel
+        rng = np.random.default_rng(int(alpha * 8) + causal)
+        sm = ScoreMatrix(rng.normal(size=(1024, 16)), rng.normal(size=(1024, 16)), causal=causal)
+        params = EntmaxParams(alpha=alpha)
+        dense = attention_probs(sm, params) > SUPPORT_TOL
+        assert extract_graph(sm, params) == AttentionGraph.from_dense(dense, causal=causal)
+
+    @pytest.mark.parametrize("n, m, causal", [(7, 5, False), (5, 9, False), (9, 9, True)])
+    def test_small_row_blocks_equal_dense_threshold(self, n, m, causal):
+        rng = np.random.default_rng(n * m)
+        sm = ScoreMatrix(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)), causal=causal)
+        with mock.patch.object(_kernels, "_BATCH_CELLS", 2 * m):
+            graph = extract_graph(sm)
+            dense = attention_probs(sm) > SUPPORT_TOL
+        assert graph == AttentionGraph.from_dense(dense, causal=causal)
 
 
 class TestMetrics:
@@ -216,3 +241,25 @@ class TestGraphFile:
             path.write_text(text)
             with pytest.raises(DataError):
                 read_graph(path)
+
+
+def test_extraction_and_pair_dataset_memory_bounded_by_edges():
+    """Neither extracting a gold graph nor building its pair dataset holds
+    n x m arrays: their traced peaks stay within O(edges + kernel batch).
+    (Built through dense n x m arrays, each peaked above 20 MB here.)"""
+    rng = np.random.default_rng(9)
+    sm = ScoreMatrix(rng.normal(size=(1024, 16)), rng.normal(size=(1024, 16)), causal=True)
+    tracemalloc.start()
+    try:
+        gold = extract_graph(sm)
+        _, extract_peak = tracemalloc.get_traced_memory()
+        # 16 float64 arrays of every edge and of one kernel batch: about 10 MB
+        bound = 16 * 8 * (gold.edge_count + _kernels._BATCH_CELLS)
+        assert extract_peak < bound
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        build_pair_dataset([sm], [gold], min_len=1)
+        _, pairs_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs_peak - base < bound

@@ -1,8 +1,8 @@
 """Graph construction on the prediction path against the plain formulas.
 
 ``from_dense``, ``graph_union``, ``buckets_to_graph``,
-``distance_pairing``, ``window_global_graph`` and ``bigbird_random_blocks``
-build their edge lists without re-sorting; each is checked here against
+``distance_pairing``, ``window_global_graph``, ``bigbird_random_blocks``
+and ``expand_blocks`` build their edge lists without re-sorting; each is checked here against
 the straightforward construction on random inputs: n = 1, n != m, empty
 rows and causal masks included.  The pair rules are also checked with
 their row blocks cut down to a few cells.
@@ -19,11 +19,13 @@ from hypothesis.extra.numpy import arrays
 from sparseattn import (
     AttentionGraph,
     BucketAssignment,
+    ChunkedGraph,
     PatternConfig,
     _kernels,
     bigbird_random_blocks,
     buckets_to_graph,
     distance_pairing,
+    expand_blocks,
     graph_union,
     window_global_graph,
 )
@@ -191,6 +193,25 @@ class TestBigBird:
         assert graph._lin.dtype == np.int64
         assert np.array_equal(graph._lin, expected)
         assert not graph._lin.flags.writeable
+
+
+class TestExpandBlocks:
+    @SETTINGS
+    @given(st.data())
+    def test_equals_dense_block_lookup(self, data):
+        causal, n, m = _shapes(data)
+        z = data.draw(st.integers(1, 4))
+        blocks, _ = data.draw(masks(causal=causal, shape=(-(-n // z), -(-m // z))))
+        graph = expand_blocks(ChunkedGraph(z, AttentionGraph.from_dense(blocks, causal)), n, m)
+        dense = blocks[np.arange(n)[:, None] // z, np.arange(m)[None, :] // z]
+        if causal:
+            dense &= np.tri(n, m, dtype=bool)
+        _same(graph, _reference(dense, causal))
+
+    def test_causal_needs_square(self):
+        cg = ChunkedGraph(4, AttentionGraph(2, 2, [(1, 0)], causal=True))
+        with pytest.raises(ValueError):
+            expand_blocks(cg, 7, 8)
 
 
 def _window_reference(n, m, window, globals_, causal):

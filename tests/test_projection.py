@@ -17,7 +17,17 @@ from sparseattn import (
     train_projection,
 )
 
-from oracles import central_difference_grad, train_projection_per_pair
+from oracles import central_difference_grad, pair_lists, train_projection_per_pair
+
+
+class _Draws:
+    """Stands in for a Generator: ``integers(highs)`` returns ``pick(highs)``."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def integers(self, highs):
+        return self.pick(np.asarray(highs))
 
 
 def two_blob_dataset(d=8, per_blob=12, gap=4.0, std=0.5, seed=0, scale=1.0):
@@ -177,27 +187,39 @@ class TestPairDataset:
         sm, g = two_blob_dataset(per_blob=3, seed=2)
         ds = build_pair_dataset([sm], [g], min_len=1)
         assert len(ds) == g.edge_count
-        for q, k, (i, j) in zip(ds.queries, ds.pos_keys, g.edges):
-            np.testing.assert_array_equal(q, sm.Q[i])
-            np.testing.assert_array_equal(k, sm.K[j])
+        for q, k, (i, j) in zip(ds.q_rows, ds.k_rows, g.edges):
+            np.testing.assert_array_equal(ds.Q[q], sm.Q[i])
+            np.testing.assert_array_equal(ds.K[k], sm.K[j])
 
     def test_eligible_keys_are_unconnected_keys(self):
-        # two instances: key indices of the second are offset by the first's m
+        # two instances: key rows of the second are offset by the first's m;
+        # draw t (clipped to the pool) must be the t-th unconnected key
         pairs = [two_blob_dataset(per_blob=3, seed=s) for s in (12, 13)]
         g0 = pairs[0][1]
         pairs[0] = (pairs[0][0], AttentionGraph(g0.n, g0.m, g0.edges[::2]))
-        ds = build_pair_dataset([sm for sm, _ in pairs], [g for _, g in pairs], min_len=1)
-        p = 0
-        for inst, (sm, g) in enumerate(pairs):
-            dense = g.to_dense()
-            for i, _ in g.edges:
-                qid = ds.query_ids[p]
-                got = ds.eligible_keys[ds.eligible_offsets[qid] : ds.eligible_offsets[qid + 1]]
-                want = [inst * 6 + j for j in range(g.m) if not dense[i, j]]
-                np.testing.assert_array_equal(got, want)
-                np.testing.assert_array_equal(ds.keys[got], sm.K[[w - inst * 6 for w in want]])
-                p += 1
-        assert p == len(ds)
+        mats, graphs = [sm for sm, _ in pairs], [g for _, g in pairs]
+        ds = build_pair_dataset(mats, graphs, min_len=1)
+        _, _, keys, query_ids, eligible = pair_lists(mats, graphs)
+        pools = [eligible[qid] for qid in query_ids]
+        assert len(pools) == len(ds)
+        for t in range(6):
+            kept, negs = draw_negatives(ds, np.arange(len(ds)), _Draws(lambda h: np.minimum(t, h - 1)))
+            np.testing.assert_array_equal(kept, [len(pool) > 0 for pool in pools])
+            want = [pool[min(t, len(pool) - 1)] for pool in pools if pool]
+            np.testing.assert_array_equal(negs, want)
+            np.testing.assert_array_equal(ds.K[negs], keys[want])
+
+    def test_pairs_must_be_sorted_runs_in_range(self):
+        Q, K = np.zeros((2, 3)), np.zeros((4, 3))
+        lo, hi = [0, 2], [2, 4]
+        PairDataset(Q, K, [0, 0, 1], [0, 1, 3], lo, hi)
+        for q_rows, k_rows in [([1, 0], [2, 0]), ([0, 0], [1, 0]), ([0, 0], [1, 1]),
+                               ([0], [2]), ([2], [0]), ([0, 1], [0])]:
+            with pytest.raises(ValueError):
+                PairDataset(Q, K, q_rows, k_rows, lo, hi)
+        for key_lo, key_hi in [([0, 2], [2, 5]), ([0, 3], [2, 2]), ([-1, 2], [2, 4])]:
+            with pytest.raises(ValueError):
+                PairDataset(Q, K, [0], [0], key_lo, key_hi)
 
     def test_single_eligible_key(self):
         # query 0 connected to every key but the last -> that key always drawn
@@ -210,7 +232,7 @@ class TestPairDataset:
         # the first n-1 positives belong to query 0
         kept, negs = draw_negatives(ds, np.arange(n - 1), np.random.default_rng(0))
         assert kept.all()
-        np.testing.assert_array_equal(ds.keys[negs], np.tile(sm.K[n - 1], (n - 1, 1)))
+        np.testing.assert_array_equal(ds.K[negs], np.tile(sm.K[n - 1], (n - 1, 1)))
 
     def test_fully_connected_query_skips(self):
         g = AttentionGraph(2, 2, [(0, 0), (0, 1), (1, 0)])
@@ -232,12 +254,12 @@ class TestPairDataset:
         kept2, negs2 = draw_negatives(ds, pairs, np.random.default_rng(11))
         np.testing.assert_array_equal(kept1, kept2)
         np.testing.assert_array_equal(negs1, negs2)
+        _, _, _, query_ids, eligible = pair_lists([sm], [g])
         scalar = np.random.default_rng(11)
         expected = []
         for p in pairs:
-            qid = ds.query_ids[p]
-            pool = ds.eligible_keys[ds.eligible_offsets[qid] : ds.eligible_offsets[qid + 1]]
-            expected.append(pool[scalar.integers(pool.size)])
+            pool = eligible[query_ids[p]]
+            expected.append(pool[scalar.integers(len(pool))])
         np.testing.assert_array_equal(negs1, expected)
 
     def test_uniform_sampling(self):
@@ -302,7 +324,11 @@ class TestTrainProjection:
         X[:, 1] = rng.uniform(-0.3, 0.3, P)
         negs = np.zeros((8, 6))
         negs[:, 2] = rng.uniform(0.1, 0.3, 8)
-        ds = PairDataset(X, X, negs, np.zeros(P, dtype=int), [np.arange(8)], rng_seed=1)
+        # query p's key range is its own copy of [X[p], negs]: the negatives
+        # of every pair are the eight orthogonal keys
+        K = np.concatenate([np.vstack([x, negs]) for x in X])
+        rows = np.arange(P)
+        ds = PairDataset(X, K, rows, 9 * rows, 9 * rows, 9 * rows + 9, rng_seed=1)
         hist = []
         train_projection(ds, TrainConfig(epochs=5, rng_seed=1), r=2, loss_history=hist)
         tenth = max(1, len(hist) // 10)
@@ -315,9 +341,9 @@ class TestTrainProjection:
         head = train_projection(ds, TrainConfig(rng_seed=4), r=2)
         kept, negs = draw_negatives(ds, np.arange(len(ds)), np.random.default_rng(5))
         assert kept.all()
-        qp = project_rows(head, ds.queries)
-        d_pos = np.linalg.norm(qp - project_rows(head, ds.pos_keys), axis=1)
-        d_neg = np.linalg.norm(qp - project_rows(head, ds.keys[negs]), axis=1)
+        qp = project_rows(head, ds.Q[ds.q_rows])
+        d_pos = np.linalg.norm(qp - project_rows(head, ds.K[ds.k_rows]), axis=1)
+        d_neg = np.linalg.norm(qp - project_rows(head, ds.K[negs]), axis=1)
         assert np.mean(d_pos < d_neg) >= 0.95
         # mean positive distance < mean negative distance in projected space
         Qp, Kp = project_rows(head, sm.Q), project_rows(head, sm.K)
@@ -355,43 +381,43 @@ class TestTrainProjection:
         assert hist  # training consumed triples
 
     @staticmethod
-    def _graph_dataset():
+    def _graph_instances():
         # two instances; queries 0 and 3 of the first see every key
         (sm0, g0), (sm1, g1) = two_blob_dataset(per_blob=5, seed=14), two_blob_dataset(
             per_blob=4, seed=15
         )
         full = [(i, j) for i in (0, 3) for j in range(g0.m)]
         g0 = AttentionGraph(g0.n, g0.m, np.vstack([g0.edges, full]))
-        return build_pair_dataset([sm0, sm1], [g0, g1], rng_seed=16, min_len=1)
+        return [sm0, sm1], [g0, g1]
 
     @staticmethod
-    def _saturated_dataset():
-        # 31 pairs over 6 queries, of which only queries 1 and 4 have
+    def _saturated_instances():
+        # 43 pairs over 6 queries, of which only queries 1 and 4 have
         # negatives: with batches of 2, many batches draw none
         rng = np.random.default_rng(17)
-        eligible = [[], [0, 2, 5], [], [], [7], []]
-        return PairDataset(
-            rng.normal(size=(31, 9)), rng.normal(size=(31, 9)), rng.normal(size=(8, 9)),
-            np.arange(31) % 6, eligible, rng_seed=18,
-        )
+        missing = {1: (0, 2, 5), 4: (3, 7)}
+        edges = [(i, j) for i in range(6) for j in range(8) if j not in missing.get(i, ())]
+        sm = ScoreMatrix(rng.normal(size=(6, 9)), rng.normal(size=(8, 9)))
+        return [sm], [AttentionGraph(6, 8, edges)]
 
     @pytest.mark.parametrize(
         "dataset, epochs, per, batch_size",
         [("graph", 1, 1, 16), ("graph", 3, 3, 7), ("graph", 2, 2, 5), ("saturated", 3, 3, 2)],
     )
     def test_matches_per_pair_oracle(self, dataset, epochs, per, batch_size):
-        ds = self._graph_dataset() if dataset == "graph" else self._saturated_dataset()
+        mats, graphs = (self._graph_instances() if dataset == "graph"
+                        else self._saturated_instances())
+        ds = build_pair_dataset(mats, graphs, rng_seed=18, min_len=1)
         assert len(ds) % batch_size  # every epoch ends on a short batch
         cfg = TrainConfig(
             epochs=epochs, negatives_per_positive=per, batch_size=batch_size, rng_seed=19
         )
         hist = []
         head = train_projection(ds, cfg, r=3, loss_history=hist)
-        offsets = ds.eligible_offsets
-        eligible = [ds.eligible_keys[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-        assert any(e.size == 0 for e in eligible)
+        queries, pos_keys, keys, query_ids, eligible = pair_lists(mats, graphs)
+        assert any(not e for e in eligible)
         W, want = train_projection_per_pair(
-            ds.queries, ds.pos_keys, ds.keys, ds.query_ids, eligible, r=3, margin=cfg.margin,
+            queries, pos_keys, keys, query_ids, eligible, r=3, margin=cfg.margin,
             learning_rate=cfg.learning_rate, epochs=epochs, batch_size=batch_size,
             negatives_per_positive=per, rng_seed=cfg.rng_seed, negative_seed=ds.rng_seed,
         )
