@@ -35,9 +35,8 @@ from .entmax import (
     entmax_tau,
     masked_entmax,
     support,
-    verify_sparse_consistency,
 )
-from .errors import ConfigError, ContractViolation, DataError
+from .errors import ConfigError, DataError
 from .graph import (
     AttentionGraph,
     ScoreMatrix,

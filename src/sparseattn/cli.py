@@ -18,6 +18,7 @@ import re
 import sys
 from collections import namedtuple
 from dataclasses import fields
+from itertools import product
 
 import numpy as np
 
@@ -30,9 +31,10 @@ from .blocks import (
 )
 from .data import SyntheticSpec, generate_instances, load_qk, save_qk
 from .entmax import EntmaxParams, audit_sparse_consistency
-from .errors import ConfigError, ContractViolation, DataError
+from .errors import ConfigError, DataError
 from .graph import extract_graph, read_graph, sparsity, write_graph
 from .kmeans import KMeansConfig, kmeans_fit, load_centroids, save_centroids
+from .predictors import PatternConfig
 from .projection import TrainConfig, build_pair_dataset, load_head, project_rows, save_head, train_projection
 from .sweep import (
     DEFAULT_GRIDS,
@@ -84,7 +86,8 @@ KEYS = {
 }
 
 # least value of a number, or of each element of a list of numbers
-_LEAST = {"seed": 0, "alpha": 1, "r": 1, "kmeans_sample": 0, "B_list": 1, "workers": 1, "trials": 1}
+_LEAST = {"seed": 0, "alpha": 1, "r": 1, "kmeans_sample": 0, "B_list": 1, "workers": 1, "trials": 1,
+          "bench_n": 1, "bench_d": 2, "z_list": 1, "repeats": 3}
 
 Config = namedtuple("Config", KEYS)
 
@@ -122,8 +125,14 @@ def _common(args) -> Config:
     _build(SyntheticSpec, cfg)
     _build(TrainConfig, cfg, rng_seed=cfg.seed)
     _build(KMeansConfig, cfg, "kmeans_", seed=cfg.seed)
+    if 0 < cfg.kmeans_sample < max(cfg.B_list):
+        raise ConfigError(f"kmeans_sample must be 0 (every point) or at least the largest B "
+                          f"of B_list, {max(cfg.B_list)}, got {cfg.kmeans_sample}")
     _validate_grids(cfg.methods, cfg.grids)
     PatternGrid(cfg.windows, cfg.global_counts, cfg.global_mode)
+    for top_k, variant in product(cfg.top_k_list, cfg.variants):
+        BlockBudget(top_k, variant)
+    PatternConfig(window=cfg.bench_window)
     os.makedirs(cfg.out, exist_ok=True)
     return cfg
 
@@ -407,9 +416,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ContractViolation as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 4
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ContractViolation
 
 # Entries above this count as support; exact solvers emit hard zeros but
 # bisection can leave dust.
@@ -88,24 +87,6 @@ def masked_entmax(z, mask, params: EntmaxParams = DEFAULT_PARAMS) -> np.ndarray:
 def support(p, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Boolean support indicator of a probability vector."""
     return np.asarray(p) > tol
-
-
-def verify_sparse_consistency(z, mask, params: EntmaxParams = DEFAULT_PARAMS) -> bool:
-    """Check that masking out off-support positions leaves entmax unchanged.
-
-    The mask must dominate the support of entmax(z); that precondition is
-    the caller's responsibility and violating it raises ContractViolation.
-    Under the precondition the result is exactly equal (a theorem, not an
-    approximation), so returning False signals a real defect.
-    """
-    z = _as_scores(z)
-    mask = _as_mask(mask, z.size)
-    p_full = entmax(z, params)
-    b = support(p_full)
-    if np.any(b & ~mask):
-        raise ContractViolation("mask does not dominate the entmax support")
-    p_masked = masked_entmax(z, mask, params)
-    return bool(np.max(np.abs(p_masked - p_full)) <= 1e-9)
 
 
 def audit_sparse_consistency(

@@ -12,8 +12,3 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Malformed or inconsistent data file (tensor, graph, checkpoint)."""
-
-
-class ContractViolation(RuntimeError):
-    """A caller-side precondition was broken, or an audit found a violation
-    of a property that is supposed to hold exactly."""

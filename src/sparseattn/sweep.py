@@ -7,7 +7,11 @@ once and, there, every pattern point (window, global count) of its cells.
 A method that draws nothing from the RNG (all but lsh and bigbird) thus
 predicts its learned graph once per instance and shares it across every
 window and global count.  A cell is scored from edge counts, without
-building the union of the learned graph and the pattern graph.
+building the union of the learned graph and the pattern graph.  Every
+graph a cell is scored on is held as a bit mask, one bit per cell, and
+every count is a popcount: a learned graph keeps its mask and that mask
+AND the gold mask, so one popcount against the pattern's mask gives both
+of its intersections.
 
 Groups are independent; with ``workers > 1`` they run in separate processes.
 Per-cell RNG streams are derived from the master seed and the cell key, and
@@ -16,8 +20,8 @@ execution nor the order of the grids can change any output byte.
 
 What groups share is computed once per ``run_sweep`` call and dropped when
 it returns: the gold graph, its bit mask and the projected queries/keys of
-every instance, and each pattern graph without random global tokens, with
-its bit mask and its count of gold edges per instance.
+every instance, and each pattern graph without random global tokens as its
+bit mask and edge count, with its count of gold edges per instance.
 """
 
 import csv
@@ -247,42 +251,33 @@ def _validate_artifacts(instances, methods, grids, artifacts: SweepArtifacts):
 
 
 # ---------------------------------------------------------------------------
-# Scoring from edge counts.  A mask holds a graph's cells as bits, eight to
-# a byte: n*m/8 bytes per graph, however many edges it has.
+# Scoring from edge counts.  A mask holds a graph's cells as bits, 64 to a
+# word: about n*m/8 bytes per graph, however many edges it has.  Every count
+# is a popcount of a mask or of the AND of masks.
 
 
 def _mask(graph) -> np.ndarray:
-    """Bit ``lin % 8`` of byte ``lin // 8`` is set for each edge ``lin``."""
-    return np.packbits(graph.to_dense().ravel(), bitorder="little")
+    """One bit of word ``lin // 64`` is set for each edge ``lin``; the
+    padding bits of the last word are clear."""
+    cells = np.zeros(-(-graph.n * graph.m // 64) * 64, bool)
+    cells[graph._lin] = True
+    return np.packbits(cells, bitorder="little").view(np.uint64)
 
 
-def _locate(lin):
-    """The mask byte of each linear index, and its bit as a one-bit byte."""
-    bit = lin.astype(np.uint8)  # lin % 256, so lin % 8 survives
-    bit &= 7
-    np.left_shift(1, bit, out=bit)
-    return lin >> 3, bit
+def _popcount(masks):
+    """Set bits of each mask along the last axis."""
+    return np.bitwise_count(masks).sum(-1)
 
 
-def _members(mask, byte, bit) -> np.ndarray:
-    """Per located cell, its bit if ``mask`` holds it, else 0; two such
-    arrays over the same cells AND to the cells both masks hold."""
-    return mask[byte] & bit
+class _Scored(NamedTuple):
+    """A graph reduced to what scoring against one gold graph needs.
 
+    A learned graph's ``masks`` has two rows, its mask and that mask AND
+    the gold mask; a pattern's is its mask alone, shared by every instance
+    of its shape.
+    """
 
-class _Learned(NamedTuple):
-    """A learned graph reduced to what scoring against one gold graph needs."""
-
-    byte: np.ndarray  # where its edges sit in a mask (``_locate``)
-    bit: np.ndarray
-    in_gold: np.ndarray  # ``_members`` of the gold mask
-    hits: int  # gold edges
-
-
-class _Pattern(NamedTuple):
-    """A pattern graph reduced to what scoring against one gold graph needs."""
-
-    mask: np.ndarray
+    masks: np.ndarray
     edges: int
     hits: int  # gold edges
 
@@ -290,29 +285,31 @@ class _Pattern(NamedTuple):
 def _learned(graph, gold_mask):
     if graph is None:
         return None
-    byte, bit = _locate(graph._lin)
-    in_gold = _members(gold_mask, byte, bit)
-    return _Learned(byte, bit, in_gold, int(np.count_nonzero(in_gold)))
+    mask = _mask(graph)
+    masks = np.stack((mask, mask & gold_mask))
+    edges, hits = _popcount(masks).tolist()
+    return _Scored(masks, edges, hits)
 
 
-def _pattern(graph, mask, gold_mask) -> _Pattern:
-    hits = int(np.count_nonzero(_members(gold_mask, *_locate(graph._lin))))
-    return _Pattern(mask, graph.edge_count, hits)
+def _pattern(mask, edges, gold_mask) -> _Scored:
+    return _Scored(mask, edges, int(_popcount(mask & gold_mask)))
 
 
-def _union_scores(learned, pattern: _Pattern, gold):
+def _union_scores(learned, pattern: _Scored, gold):
     """``(sparsity, recall)`` of the union of ``learned`` (None: no learned
     graph) and ``pattern`` against ``gold``, without building the union.
 
     |L | P| = |L| + |P| - |L & P| and |(L | P) & G| = |L & G| + |P & G| -
-    |L & P & G|; the final expressions are those of ``graph.sparsity`` and
-    ``graph.recall``, so the values are equal bit for bit.
+    |L & P & G|, where one popcount of the learned masks AND the pattern
+    mask gives both intersections; the final expressions are those of
+    ``graph.sparsity`` and ``graph.recall``, so the values are equal bit
+    for bit.
     """
     edges, hits = pattern.edges, pattern.hits
     if learned is not None:
-        in_pattern = _members(pattern.mask, learned.byte, learned.bit)
-        edges += learned.byte.size - int(np.count_nonzero(in_pattern))
-        hits += learned.hits - int(np.count_nonzero(in_pattern & learned.in_gold))
+        both, both_gold = _popcount(learned.masks & pattern.masks).tolist()
+        edges += learned.edges - both
+        hits += learned.hits - both_gold
     return 1.0 - edges / admissible_count(gold.n, gold.m, gold.causal), hits / gold.edge_count
 
 
@@ -321,37 +318,31 @@ class _SweepState:
     """Everything the groups of one ``run_sweep`` call share.
 
     ``projections[idx]`` holds instance idx's projected (Q, K), or None when
-    no swept method projects.  Memoised as groups ask for them: the gold
-    mask per instance, each pattern graph without random global tokens and
-    its mask per (PatternConfig, n, m), and its gold hits per
-    (PatternConfig, instance).
+    no swept method projects, and ``gold_masks[idx]`` the mask of its gold
+    graph.  Memoised as groups ask for them: each pattern graph without
+    random global tokens as its mask and edge count per (PatternConfig, n,
+    m), and its gold hits per (PatternConfig, instance).
     """
 
     instances: list
     golds: list
+    gold_masks: list
     artifacts: SweepArtifacts
     projections: list
     seed: int
     pattern_grid: PatternGrid
-    gold_masks: dict = field(default_factory=dict)
     patterns: dict = field(default_factory=dict)
     scored_patterns: dict = field(default_factory=dict)
 
-    def gold_mask(self, idx):
-        mask = self.gold_masks.get(idx)
-        if mask is None:
-            mask = self.gold_masks[idx] = _mask(self.golds[idx])
-        return mask
-
-    def pattern(self, pc: PatternConfig, idx) -> _Pattern:
+    def pattern(self, pc: PatternConfig, idx) -> _Scored:
         scored = self.scored_patterns.get((pc, idx))
         if scored is None:
             sm = self.instances[idx]
             key = (pc, sm.n, sm.m)
             if key not in self.patterns:
                 graph = window_global_graph(sm.n, sm.m, pc)
-                self.patterns[key] = graph, _mask(graph)
-            scored = _pattern(*self.patterns[key], self.gold_mask(idx))
+                self.patterns[key] = _mask(graph), graph.edge_count
+            scored = _pattern(*self.patterns[key], self.gold_masks[idx])
             self.scored_patterns[(pc, idx)] = scored
         return scored
 
@@ -412,8 +403,8 @@ def _eval_group(group, state: _SweepState):
             hp.update(globals=g_count, global_mode=grid.global_mode)
         crc = zlib.crc32(f"{method}|{_hp_str(params)}|w={w}|g={g}".encode())
         cells.append((w, g_count, crc, hp, {}))
-    for idx, (sm, gold) in enumerate(zip(state.instances, state.golds)):
-        gold_mask = state.gold_mask(idx)
+    for idx, (sm, gold, gold_mask) in enumerate(zip(state.instances, state.golds,
+                                                     state.gold_masks)):
         proj = state.projections[idx]
         if method not in _DRAWS:
             learned = _learned(_predict(method, params, sm, state.artifacts, proj, None), gold_mask)
@@ -428,7 +419,7 @@ def _eval_group(group, state: _SweepState):
             if random_globals:  # drawn per (cell, instance): nothing to share
                 globals_ = tuple(int(t) for t in rng.choice(limit, size=take, replace=False))
                 graph = window_global_graph(sm.n, sm.m, PatternConfig(w, globals_, sm.causal))
-                pattern = _pattern(graph, _mask(graph), gold_mask)
+                pattern = _pattern(_mask(graph), graph.edge_count, gold_mask)
             else:
                 pattern = state.pattern(PatternConfig(w, tuple(range(take)), sm.causal), idx)
             if method in _DRAWS:
@@ -490,6 +481,7 @@ def run_sweep(
     groups = _build_groups(methods, grids)
     params = EntmaxParams(alpha=alpha)
     golds = [extract_graph(sm, params) for sm in instances]
+    gold_masks = [_mask(gold) for gold in golds]
     if _NEEDS_PROJECTION.intersection(methods):
         projections = []
         for sm in instances:
@@ -497,7 +489,7 @@ def run_sweep(
             projections.append((project_rows(head, sm.Q), project_rows(head, sm.K)))
     else:
         projections = [None] * len(instances)
-    state = _SweepState(instances, golds, artifacts, projections, seed, pattern_grid)
+    state = _SweepState(instances, golds, gold_masks, artifacts, projections, seed, pattern_grid)
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

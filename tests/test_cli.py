@@ -272,7 +272,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("setting", [
         {"lerning_rate": 0.01}, {"causal": "false"}, {"epochs": 1.9},
         {"grids": {"quantization": {"beta": [2.5]}}},
-    ], ids=["unknown-key", "string-for-bool", "float-for-int", "float-in-int-grid"])
+        {"variants": ["v1", "v3"]}, {"repeats": 2}, {"bench_d": 1}, {"bench_window": 2},
+        {"z_list": [0]}, {"top_k_list": [0]}, {"kmeans_sample": 2, "B_list": [4]},
+    ], ids=["unknown-key", "string-for-bool", "float-for-int", "float-in-int-grid",
+            "unknown-variant", "two-repeats", "one-bench-dim", "even-bench-window",
+            "zero-block-size", "zero-top-k", "kmeans-sample-below-B"])
     @pytest.mark.parametrize("cmd", ["gen", "train-proj", "fit-kmeans", "bench", "verify"])
     def test_bad_config_rejected_before_any_output(self, tmp_path, monkeypatch, cmd, setting):
         def no_work(*args, **kwargs):

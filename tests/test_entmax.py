@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from sparseattn import (
-    ContractViolation,
+    DEFAULT_PARAMS,
     EntmaxParams,
     audit_sparse_consistency,
     entmax,
     entmax_tau,
     masked_entmax,
     support,
-    verify_sparse_consistency,
 )
 from sparseattn import _kernels
 
@@ -163,16 +162,22 @@ class TestMaskedEntmax:
             masked_entmax([1.0, 2.0], [True])
 
 
+def masking_keeps_entmax(z, mask, params=DEFAULT_PARAMS):
+    """Whether entmax restricted to ``mask`` equals entmax of all of z
+    within 1e-9: exactly the case when ``mask`` covers the support."""
+    return bool(np.max(np.abs(masked_entmax(z, mask, params) - entmax(z, params))) <= 1e-9)
+
+
 class TestSparseConsistency:
     def test_full_mask_true(self):
         rng = np.random.default_rng(41)
-        assert verify_sparse_consistency(rng.normal(size=12), np.ones(12, bool))
+        assert masking_keeps_entmax(rng.normal(size=12), np.ones(12, bool))
 
     def test_exact_support_mask(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             z = rng.normal(size=16)
-            assert verify_sparse_consistency(z, support(entmax(z)))
+            assert masking_keeps_entmax(z, support(entmax(z)))
 
     def test_support_plus_extra_bits(self):
         rng = np.random.default_rng(43)
@@ -183,7 +188,7 @@ class TestSparseConsistency:
             if off.size:
                 mask = mask.copy()
                 mask[rng.choice(off, size=min(3, off.size), replace=False)] = True
-            assert verify_sparse_consistency(z, mask)
+            assert masking_keeps_entmax(z, mask)
 
     def test_property_1000_random_pairs(self):
         rng = np.random.default_rng(44)
@@ -191,14 +196,13 @@ class TestSparseConsistency:
             z = rng.normal(0, 2, rng.integers(2, 32))
             mask = support(entmax(z))
             extra = ~mask & (rng.random(z.size) < 0.4)
-            assert verify_sparse_consistency(z, mask | extra)
+            assert masking_keeps_entmax(z, mask | extra)
 
-    def test_non_dominating_mask_is_contract_violation(self):
+    def test_non_dominating_mask_changes_probabilities(self):
         z = np.array([5.0, 4.9, -10.0])
         mask = np.array([True, False, True])  # drops an in-support entry
         assert support(entmax(z))[1]
-        with pytest.raises(ContractViolation):
-            verify_sparse_consistency(z, mask)
+        assert not masking_keeps_entmax(z, mask)
 
 
 def _audit_vector_by_vector(trials, seed, alpha, min_len=2, max_len=64):
@@ -212,7 +216,7 @@ def _audit_vector_by_vector(trials, seed, alpha, min_len=2, max_len=64):
         z = rng.normal(0.0, np.sqrt(2.0), size=n)
         b = support(entmax(z, params))
         extra = ~b & (rng.random(n) < rng.random())
-        if not verify_sparse_consistency(z, b | extra, params):
+        if not masking_keeps_entmax(z, b | extra, params):
             failures.append({"trial": trial, "n": n, "extra_bits": int(extra.sum())})
     return failures
 

@@ -220,9 +220,16 @@ class TestAgainstUncachedSweep:
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
     @pytest.mark.parametrize("global_mode", ["random", "prefix"])
     def test_records_and_csv_bytes_equal(self, tmp_path, causal, global_mode):
-        mats, _, arts = small_setup(causal=causal)
+        # n = 13 gives 169 cells, not a multiple of 8, so a mask's last
+        # byte is padded
+        for n in (16, 13):
+            self._check_against_uncached(tmp_path, small_setup(n=n, causal=causal), global_mode)
+
+    @staticmethod
+    def _check_against_uncached(tmp_path, setup, global_mode):
+        mats, _, arts = setup
         global_counts, seed = (0, 2), 11
-        # n = 16, so window 17 covers every row; the last order is shuffled,
+        # n <= 16, so window 17 covers every row; the last order is shuffled,
         # and the reference runs its windows in sorted order
         for windows in ((0, 3), (0, 3, 7), (17, 3, 0, 7)):
             want = run_sweep_uncached(mats, ALL_METHODS, FULL_GRIDS, sorted(windows),
@@ -298,10 +305,13 @@ class TestCountScoring:
     def test_equals_scores_of_the_materialised_union(self, relation, causal, data):
         L, P, G = data.draw(_graph_triple(relation, causal))
         gold_mask = sweep._mask(G)
-        pattern = sweep._pattern(P, sweep._mask(P), gold_mask)
+        learned = sweep._learned(L, gold_mask)
+        pattern = sweep._pattern(sweep._mask(P), P.edge_count, gold_mask)
+        assert (learned.edges, learned.hits) == (L.edge_count, np.intersect1d(L._lin, G._lin).size)
+        assert pattern.hits == np.intersect1d(P._lin, G._lin).size
         union = graph_union(L, P)
         want = (sparsity(union), recall(union, G))
-        assert sweep._union_scores(sweep._learned(L, gold_mask), pattern, G) == want
+        assert sweep._union_scores(learned, pattern, G) == want
         if relation == "empty L":  # the pattern-only methods pass no learned graph
             assert sweep._union_scores(None, pattern, G) == want
 
