@@ -21,7 +21,6 @@ from .blocks import (
     expand_blocks,
     graph_score_flops,
     select_blocks_v1,
-    select_blocks_v2,
     sparse_attention_probs,
     write_bench_csv,
 )
@@ -53,15 +52,12 @@ from .kmeans import Centroids, KMeansConfig, kmeans_fit, load_centroids, save_ce
 from .predictors import (
     BucketAssignment,
     PatternConfig,
-    assign_with_boundaries,
     bigbird_random_blocks,
-    bin_boundaries,
     buckets_to_graph,
     cluster_qk,
     combine_with_patterns,
     distance_pairing,
     lsh_assign,
-    quantize_assign,
     quantize_qk,
     routing_assign,
     window_global_graph,

@@ -4,9 +4,9 @@ selection, and the micro-benchmark of dense vs block-sparse evaluation.
 Tokens are grouped into contiguous blocks of z; a block pair is positive if
 any contained token pair is a gold edge, so expanding block labels back to
 token level can only over-cover the gold graph (recall 1 by construction).
-The benchmark times full entmax attention against an evaluation that scores
-only the selected blocks plus a local window, and counts score-FLOPs for
-both paths.
+The benchmark times full entmax attention against the whole predicted call
+(block means, projection, block selection, expansion, window union and
+entmax on the selected cells), and counts score-FLOPs for both paths.
 """
 
 import csv
@@ -27,13 +27,13 @@ from .graph import (
     recall,
     sparsity,
 )
-from .kmeans import Centroids, KMeansConfig, kmeans_fit
+from .kmeans import KMeansConfig, kmeans_fit
 from .predictors import (
     PatternConfig,
     _block_pairs_graph,
     buckets_to_graph,
     cluster_qk,
-    window_global_graph,
+    combine_with_patterns,
 )
 from .projection import TrainConfig, build_pair_dataset, project_rows, train_projection
 
@@ -129,15 +129,6 @@ def select_blocks_v1(
              for j in np.argsort(-scores[i, : min(i + 1, mb) if causal else mb],
                                  kind="stable")[: budget.top_k_blocks]]
     return ChunkedGraph(z, AttentionGraph(nb, mb, edges, causal=causal))
-
-
-def select_blocks_v2(
-    Qb, Kb, centroids: Centroids, budget: BlockBudget, causal: bool = False, z: int = 1
-) -> ChunkedGraph:
-    """Block pair selected iff the blocks share a centroid among each side's
-    top_k_blocks closest ones."""
-    qa, ka = cluster_qk(Qb, Kb, centroids, budget.top_k_blocks)
-    return ChunkedGraph(z, buckets_to_graph(qa, ka, causal=causal))
 
 
 def expand_blocks(cg: ChunkedGraph, n: int, m: int) -> AttentionGraph:
@@ -245,13 +236,11 @@ class BenchRecord:
     sparsity: float
     selected_blocks: int
 
-    @property
-    def speedup(self) -> float:
-        return self.dense_median_ms / self.block_median_ms if self.block_median_ms else float("inf")
-
 
 def _time_ms(fn, repeats: int):
-    fn()  # untimed first call: warms caches and allocator
+    """(median ms, IQR ms, result) of ``fn()``; the result is that of an
+    untimed first call, which also warms caches and the allocator."""
+    result = fn()
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -259,92 +248,120 @@ def _time_ms(fn, repeats: int):
         samples.append((time.perf_counter() - t0) * 1e3)
     med = float(np.median(samples))
     iqr = float(np.percentile(samples, 75) - np.percentile(samples, 25))
-    return med, iqr
+    return med, iqr, result
+
+
+def _v2_centroids(n: int, z: int) -> int:
+    """Centroids the v2 benchmark fits at n tokens and block size z: one per
+    block, at most 8."""
+    return min(8, _nblocks(n, z))
+
+
+def check_bench_budgets(n: int, z_list, budgets) -> None:
+    """Reject a v2 budget whose top_k exceeds the centroid count of some z
+    (a top_k equal to it selects every block pair)."""
+    for z in z_list:
+        B = _v2_centroids(n, z)
+        for budget in budgets:
+            if budget.variant == "v2" and budget.top_k_blocks > B:
+                raise ValueError(
+                    f"v2 top_k {budget.top_k_blocks} exceeds the {B} centroids of "
+                    f"n={n} at z={z} (min(8, ceil(n / z)))"
+                )
 
 
 def bench_masked_attention(
     n: int,
     d: int,
-    z: int,
-    budget: BlockBudget,
+    z_list,
+    budgets,
     window: int = 3,
     repeats: int = 5,
     seed: int = 0,
     causal: bool = False,
     params: EntmaxParams = DEFAULT_PARAMS,
-) -> BenchRecord:
-    """Time dense entmax attention against block-sparse evaluation.
+) -> list:
+    """Time dense entmax attention against the whole predicted block-sparse
+    call, one record per (z, budget) in that order.
 
-    The instance is self-contained: a random (Q, K) pair, a chunk-level
-    projection trained on the instance's own block labels, and for v2 a
-    centroid set fitted on the projected blocks (top-k clamped to the
-    centroid count).  The timed regions are ``attention_probs(sm, params)``
-    and ``sparse_attention_probs(sm, graph, params)`` on the selected
-    blocks plus the window; block selection happens offline.
+    One random (Q, K) instance, its gold graph and one dense timing of
+    ``attention_probs(sm, params)`` serve every record.  Per z, a chunk-level
+    projection is trained on the instance's own block labels, and, if some
+    budget is v2, ``_v2_centroids(n, z)`` centroids are fitted on the
+    projected blocks.  The timed block call is the prediction itself: block
+    means, ``project_rows``, selection (``select_blocks_v1``, or
+    ``cluster_qk`` and ``buckets_to_graph``), ``expand_blocks``,
+    ``combine_with_patterns`` with the window, and
+    ``sparse_attention_probs``.  Its untimed first call gives the record's
+    graph counters.
     """
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
+    check_bench_budgets(n, z_list, budgets)
     rng = np.random.default_rng(seed)
     sm = ScoreMatrix(rng.normal(size=(n, d)), rng.normal(size=(n, d)), causal=causal)
     gold = extract_graph(sm, params)
+    pattern = PatternConfig(window=window, causal=causal)
+    dense_med, dense_iqr, _ = _time_ms(lambda: attention_probs(sm, params), repeats)
+    flops_dense = dense_score_flops(n, n, d, causal)
 
-    labels = chunk_labels(gold, z)
-    block_sm = ScoreMatrix(chunk_means(sm.Q, z), chunk_means(sm.K, z), causal=causal)
-    ds = build_pair_dataset([block_sm], [labels.blocks], rng_seed=seed, min_len=1)
-    head = train_projection(ds, TrainConfig(rng_seed=seed), r=min(4, d - 1))
-    Qb = project_rows(head, block_sm.Q)
-    Kb = project_rows(head, block_sm.K)
+    records = []
+    for z in z_list:
+        block_sm = ScoreMatrix(chunk_means(sm.Q, z), chunk_means(sm.K, z), causal=causal)
+        ds = build_pair_dataset([block_sm], [chunk_labels(gold, z).blocks], rng_seed=seed,
+                                min_len=1)
+        head = train_projection(ds, TrainConfig(rng_seed=seed), r=min(4, d - 1))
+        if any(budget.variant == "v2" for budget in budgets):
+            pooled = np.vstack([project_rows(head, block_sm.Q), project_rows(head, block_sm.K)])
+            centroids = kmeans_fit(pooled, _v2_centroids(n, z), KMeansConfig(seed=seed))
 
-    if budget.variant == "v1":
-        cg = select_blocks_v1(Qb, Kb, budget, causal=causal, z=z)
-    else:
-        B = min(8, labels.n_blocks)
-        centroids = kmeans_fit(np.vstack([Qb, Kb]), B, KMeansConfig(seed=seed))
-        eff = BlockBudget(min(budget.top_k_blocks, B), "v2")
-        cg = select_blocks_v2(Qb, Kb, centroids, eff, causal=causal, z=z)
-    expanded = expand_blocks(cg, n, n)
-    combined = graph_union(
-        expanded, window_global_graph(n, n, PatternConfig(window=window, causal=causal))
-    )
+        for budget in budgets:
+            def predicted():
+                Qb = project_rows(head, chunk_means(sm.Q, z))
+                Kb = project_rows(head, chunk_means(sm.K, z))
+                if budget.variant == "v1":
+                    cg = select_blocks_v1(Qb, Kb, budget, causal=causal, z=z)
+                else:
+                    qa, ka = cluster_qk(Qb, Kb, centroids, budget.top_k_blocks)
+                    cg = ChunkedGraph(z, buckets_to_graph(qa, ka, causal=causal))
+                graph = combine_with_patterns(expand_blocks(cg, n, n), pattern)
+                return cg, graph, sparse_attention_probs(sm, graph, params)
 
-    dense_med, dense_iqr = _time_ms(lambda: attention_probs(sm, params), repeats)
-    block_med, block_iqr = _time_ms(
-        lambda: sparse_attention_probs(sm, combined, params), repeats
-    )
-
-    return BenchRecord(
-        variant=budget.variant,
-        n=n,
-        d=d,
-        z=z,
-        top_k=budget.top_k_blocks,
-        window=window,
-        dense_median_ms=dense_med,
-        dense_iqr_ms=dense_iqr,
-        block_median_ms=block_med,
-        block_iqr_ms=block_iqr,
-        flops_dense=dense_score_flops(n, n, d, causal),
-        flops_block=graph_score_flops(combined, d),
-        recall=recall(combined, gold),
-        sparsity=sparsity(combined),
-        selected_blocks=cg.blocks.edge_count,
-    )
+            block_med, block_iqr, (cg, graph, _) = _time_ms(predicted, repeats)
+            records.append(BenchRecord(
+                variant=budget.variant,
+                n=n,
+                d=d,
+                z=z,
+                top_k=budget.top_k_blocks,
+                window=window,
+                dense_median_ms=dense_med,
+                dense_iqr_ms=dense_iqr,
+                block_median_ms=block_med,
+                block_iqr_ms=block_iqr,
+                flops_dense=flops_dense,
+                flops_block=graph_score_flops(graph, d),
+                recall=recall(graph, gold),
+                sparsity=sparsity(graph),
+                selected_blocks=cg.blocks.edge_count,
+            ))
+    return records
 
 
 def write_bench_csv(records, path):
-    """Benchmark CSV: one dense reference row per (n, d), one row per config."""
+    """Benchmark CSV: the dense reference row of the records' one (n, d),
+    then one row per record."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_CSV_COLUMNS)
-        seen_dense = set()
+        if records:
+            rec = records[0]
+            writer.writerow([
+                "dense", rec.n, rec.d, 0, 0, 0,
+                repr(rec.dense_median_ms), repr(rec.dense_iqr_ms),
+                rec.flops_dense, rec.flops_dense, repr(1.0), repr(0.0),
+            ])
         for rec in records:
-            if (rec.n, rec.d) not in seen_dense:
-                seen_dense.add((rec.n, rec.d))
-                writer.writerow([
-                    "dense", rec.n, rec.d, 0, 0, 0,
-                    repr(rec.dense_median_ms), repr(rec.dense_iqr_ms),
-                    rec.flops_dense, rec.flops_dense, repr(1.0), repr(0.0),
-                ])
             writer.writerow([
                 rec.variant, rec.n, rec.d, rec.z, rec.top_k, rec.window,
                 repr(rec.block_median_ms), repr(rec.block_iqr_ms),

@@ -18,7 +18,6 @@ import re
 import sys
 from collections import namedtuple
 from dataclasses import fields
-from itertools import product
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .blocks import (
     BlockBudget,
     audit_sparse_attention,
     bench_masked_attention,
+    check_bench_budgets,
     write_bench_csv,
 )
 from .data import SyntheticSpec, generate_instances, load_qk, save_qk
@@ -130,8 +130,7 @@ def _common(args) -> Config:
                           f"of B_list, {max(cfg.B_list)}, got {cfg.kmeans_sample}")
     _validate_grids(cfg.methods, cfg.grids)
     PatternGrid(cfg.windows, cfg.global_counts, cfg.global_mode)
-    for top_k, variant in product(cfg.top_k_list, cfg.variants):
-        BlockBudget(top_k, variant)
+    check_bench_budgets(cfg.bench_n, cfg.z_list, _bench_budgets(cfg))
     PatternConfig(window=cfg.bench_window)
     os.makedirs(cfg.out, exist_ok=True)
     return cfg
@@ -325,24 +324,22 @@ def cmd_pareto(args) -> int:
     return 0
 
 
+def _bench_budgets(cfg):
+    return [BlockBudget(top_k, variant) for variant in cfg.variants for top_k in cfg.top_k_list]
+
+
 def cmd_bench(args) -> int:
     cfg = _common(args)
-    params = EntmaxParams(alpha=cfg.alpha)
-    records = []
-    for z in cfg.z_list:
-        for variant in cfg.variants:
-            for top_k in cfg.top_k_list:
-                rec = bench_masked_attention(
-                    cfg.bench_n, cfg.bench_d, z, BlockBudget(top_k, variant),
-                    window=cfg.bench_window, repeats=cfg.repeats, seed=cfg.seed,
-                    causal=cfg.causal, params=params,
-                )
-                records.append(rec)
-                print(
-                    f"bench: {variant} z={z} top_k={top_k}: "
-                    f"dense {rec.dense_median_ms:.2f} ms, block {rec.block_median_ms:.2f} ms, "
-                    f"recall {rec.recall:.3f}, sparsity {rec.sparsity:.3f}"
-                )
+    records = bench_masked_attention(
+        cfg.bench_n, cfg.bench_d, cfg.z_list, _bench_budgets(cfg), window=cfg.bench_window,
+        repeats=cfg.repeats, seed=cfg.seed, causal=cfg.causal, params=EntmaxParams(alpha=cfg.alpha),
+    )
+    for rec in records:
+        print(
+            f"bench: {rec.variant} z={rec.z} top_k={rec.top_k}: "
+            f"dense {rec.dense_median_ms:.2f} ms, block {rec.block_median_ms:.2f} ms, "
+            f"recall {rec.recall:.3f}, sparsity {rec.sparsity:.3f}"
+        )
     dest = os.path.join(cfg.out, "bench.csv")
     write_bench_csv(records, dest)
     print(f"bench: wrote {dest}")

@@ -2,9 +2,9 @@
 
 Generators produce desk-scale query/key matrices whose entmax graphs have
 exploitable structure: ``gaussian-mixture`` draws tokens around shared
-latent cluster centers (so attention concentrates within clusters),
-``low-rank`` draws Q and K as rank-limited products, and ``loaded`` reads
-matrices from a manifest written by :func:`save_qk`.
+latent cluster centers (so attention concentrates within clusters), and
+``low-rank`` draws Q and K as rank-limited products.  :func:`save_qk` and
+:func:`load_qk` write and read them as a manifest of tensor files.
 """
 
 import json
@@ -17,7 +17,7 @@ from ._textio import read_rows, write_rows
 from .errors import ConfigError, DataError
 from .graph import ScoreMatrix
 
-GENERATORS = ("gaussian-mixture", "low-rank", "loaded")
+GENERATORS = ("gaussian-mixture", "low-rank")
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,12 @@ class SyntheticSpec:
     cluster_std: float = 0.25
     center_scale: float = 1.0
     rank: int = 4
-    path: str = ""
 
     def __post_init__(self):
         if min(self.n, self.m, self.d, self.num_heads, self.num_instances) < 1:
             raise ConfigError("sizes and counts must be positive")
         if self.generator not in GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r}; choose from {GENERATORS}")
-        if self.generator == "loaded" and not self.path:
-            raise ConfigError("generator 'loaded' requires a manifest path")
         if self.num_clusters < 1 or self.rank < 1:
             raise ConfigError("num_clusters and rank must be >= 1")
         if self.causal and self.n != self.m:
@@ -68,8 +65,6 @@ def _low_rank(spec: SyntheticSpec, rng) -> tuple:
 
 def generate_instances(spec: SyntheticSpec):
     """Deterministic list of ScoreMatrix instances (num_instances x num_heads)."""
-    if spec.generator == "loaded":
-        return load_qk(spec.path)
     rng = np.random.default_rng(spec.seed)
     make = _gaussian_mixture if spec.generator == "gaussian-mixture" else _low_rank
     out = []

@@ -6,9 +6,6 @@ against (window+global patterns, random blocks, sign-hyperplane LSH,
 per-centroid top-k routing).  Bucket-based predictors share one rule: an
 edge is predicted iff query and key meet in at least one bucket.
 
-Bucket ids are 1-based everywhere in the public surface; membership
-matrices use 0-based columns internally.
-
 Every graph here is built straight as its sorted linear edge indices: the
 pair rules (distance, shared bucket) one block of query rows at a time,
 the patterns and random blocks from index ranges.  No n x m array is
@@ -50,10 +47,6 @@ class BucketAssignment:
     def n_buckets(self) -> int:
         return self.membership.shape[1]
 
-    def token_buckets(self):
-        """List of sorted tuples of 1-based bucket ids, one per token."""
-        return [tuple(int(b) + 1 for b in np.flatnonzero(row)) for row in self.membership]
-
 
 @dataclass(frozen=True)
 class PatternConfig:
@@ -85,61 +78,29 @@ def distance_pairing(Qp, Kp, t: float, causal: bool = False) -> AttentionGraph:
     )
 
 
-def bin_boundaries(X, beta: int) -> np.ndarray:
-    """Balanced-bin cut values per dimension, shape (r, beta - 1).
+def quantize_qk(Qp, Kp, beta: int):
+    """Quantize queries and keys jointly into balanced bins per dimension.
 
-    Cut g is the value closing bin g: sorted values are split into
-    contiguous groups of ceil(N / beta) and the last element of each group
-    becomes a cut.  Ascending (non-strictly, if the data has duplicates).
+    Each projected dimension rho of the pooled query+key rows is sorted and
+    split into contiguous groups of ceil(N / beta) values; the last value of
+    each group is a cut, and a value equal to a cut stays in the lower bin,
+    so identical values always share a bucket.  Bin g of dimension rho is
+    membership column rho * beta + g, so every token lands in exactly r of
+    the B = r * beta buckets.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.vstack([np.asarray(Qp, dtype=np.float64), np.asarray(Kp, dtype=np.float64)])
     N, r = X.shape
     if beta < 1:
         raise ValueError("beta must be >= 1")
     if beta > N:
         raise ValueError(f"beta={beta} exceeds the {N} available values")
     size = -(-N // beta)  # ceil
-    idx = np.minimum(np.arange(1, beta) * size - 1, N - 1)
-    srt = np.sort(X, axis=0)
-    return srt[idx].T.copy()
-
-
-def assign_with_boundaries(X, cuts) -> BucketAssignment:
-    """Bucket membership from precomputed per-dimension cut values.
-
-    Dimension rho (0-based) with beta bins contributes bucket ids
-    rho * beta + bin + 1; values equal to a cut stay in the lower bin, so
-    identical values always share a bucket.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    cuts = np.asarray(cuts, dtype=np.float64)
-    N, r = X.shape
-    if cuts.ndim != 2 or cuts.shape[0] != r:
-        raise ValueError(f"cuts must be (r={r}, beta-1), got shape {cuts.shape}")
-    beta = cuts.shape[1] + 1
+    cuts = np.sort(X, axis=0)[np.minimum(np.arange(1, beta) * size - 1, N - 1)].T.copy()
     member = np.zeros((N, r * beta), dtype=bool)
     for rho in range(r):
         bins = np.searchsorted(cuts[rho], X[:, rho], side="left")
         member[np.arange(N), rho * beta + bins] = True
-    return BucketAssignment(member)
-
-
-def quantize_assign(X, beta: int) -> BucketAssignment:
-    """Balanced fixed-size binning of each projected dimension into beta bins.
-
-    Every token lands in exactly r buckets (one per dimension) out of the
-    B = r * beta total.  Pass the pooled query+key matrix so both sides
-    share boundaries; ``quantize_qk`` does the pooling and splitting.
-    """
-    return assign_with_boundaries(X, bin_boundaries(X, beta))
-
-
-def quantize_qk(Qp, Kp, beta: int):
-    """Quantize queries and keys jointly (shared balanced bins per dimension)."""
-    Qp = np.asarray(Qp, dtype=np.float64)
-    Kp = np.asarray(Kp, dtype=np.float64)
-    member = quantize_assign(np.vstack([Qp, Kp]), beta).membership
-    n = Qp.shape[0]
+    n = len(Qp)
     return BucketAssignment(member[:n]), BucketAssignment(member[n:])
 
 

@@ -321,7 +321,8 @@ def test_criterion_10_sweep_determinism(tmp_path):
 
 
 def test_criterion_11_block_benchmark_sanity():
-    rec = bench_masked_attention(512, 64, 16, BlockBudget(2, "v1"), window=3, repeats=3, seed=11)
+    (rec,) = bench_masked_attention(512, 64, [16], [BlockBudget(2, "v1")], window=3, repeats=3,
+                                    seed=11)
     ratio = rec.flops_block / rec.flops_dense
     assert ratio < 0.25, f"block/dense FLOP ratio {ratio:.3f}"
     # counted cells stay within the selected-blocks + window budget
@@ -343,4 +344,4 @@ def test_criterion_11_block_benchmark_sanity():
     assert diff <= 1e-9
     _ok(11, f"FLOP ratio {ratio:.3f} < 0.25 at top_k=2, z=16; full budget matches dense "
             f"(max diff {diff:.1e}); dense {rec.dense_median_ms:.1f} ms vs "
-            f"block {rec.block_median_ms:.1f} ms (wall-clock reported, not thresholded)")
+            f"predicted call {rec.block_median_ms:.1f} ms (wall-clock reported, not thresholded)")

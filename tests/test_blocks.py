@@ -14,8 +14,10 @@ from sparseattn import (
     attention_probs,
     audit_sparse_attention,
     bench_masked_attention,
+    buckets_to_graph,
     chunk_labels,
     chunk_means,
+    cluster_qk,
     csr_from_graph,
     dense_score_flops,
     expand_blocks,
@@ -26,11 +28,10 @@ from sparseattn import (
     project_rows,
     recall,
     select_blocks_v1,
-    select_blocks_v2,
     sparse_attention_probs,
     write_bench_csv,
 )
-from sparseattn import _kernels
+from sparseattn import _kernels, blocks
 from sparseattn.blocks import AUDIT_HEADS, BENCH_CSV_COLUMNS
 
 
@@ -162,8 +163,7 @@ class TestSelectBlocks:
         Qb = rng.normal(size=(4, 2))
         Kb = rng.normal(size=(4, 2))
         c = Centroids(np.zeros((1, 2)))
-        cg = select_blocks_v2(Qb, Kb, c, BlockBudget(1, "v2"))
-        assert cg.blocks.edge_count == 16
+        assert buckets_to_graph(*cluster_qk(Qb, Kb, c, 1)).edge_count == 16
 
     def test_v2_two_families(self):
         rng = np.random.default_rng(9)
@@ -172,8 +172,7 @@ class TestSelectBlocks:
         Qb = np.vstack([fam0, fam1])
         Kb = np.vstack([fam0 + 0.01, fam1 - 0.01])
         c = kmeans_fit(np.vstack([Qb, Kb]), 2, KMeansConfig(seed=2))
-        cg = select_blocks_v2(Qb, Kb, c, BlockBudget(1, "v2"))
-        assert cg.blocks.edge_set() == {
+        assert buckets_to_graph(*cluster_qk(Qb, Kb, c, 1)).edge_set() == {
             (i, j) for i in range(6) for j in range(6) if (i < 3) == (j < 3)
         }
 
@@ -181,8 +180,7 @@ class TestSelectBlocks:
         rng = np.random.default_rng(10)
         Qb = rng.normal(size=(4, 2))
         c = kmeans_fit(Qb, 3, KMeansConfig(seed=3))
-        cg = select_blocks_v2(Qb, Qb, c, BlockBudget(3, "v2"))
-        assert cg.blocks.edge_count == 16
+        assert buckets_to_graph(*cluster_qk(Qb, Qb, c, 3)).edge_count == 16
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -297,7 +295,8 @@ class TestFlopsAndSparsePath:
 class TestBench:
     def test_record_and_counter_bounds(self):
         n, z, top_k = 64, 8, 2
-        rec = bench_masked_attention(n, 16, z, BlockBudget(top_k, "v1"), window=3, repeats=3, seed=1)
+        (rec,) = bench_masked_attention(n, 16, [z], [BlockBudget(top_k, "v1")], window=3,
+                                        repeats=3, seed=1)
         nb = n // z
         assert rec.selected_blocks <= nb * top_k
         window_cells = 3 * n - 2  # |i-j| <= 1
@@ -323,20 +322,99 @@ class TestBench:
 
     def test_repeats_validated(self):
         with pytest.raises(ValueError):
-            bench_masked_attention(16, 8, 4, BlockBudget(1, "v1"), repeats=2)
+            bench_masked_attention(16, 8, [4], [BlockBudget(1, "v1")], repeats=2)
 
     def test_v2_variant_runs(self):
-        rec = bench_masked_attention(32, 12, 8, BlockBudget(2, "v2"), repeats=3, seed=3)
+        (rec,) = bench_masked_attention(32, 12, [8], [BlockBudget(2, "v2")], repeats=3, seed=3)
         assert rec.variant == "v2"
 
+    def test_v2_top_k_above_centroids_rejected(self, monkeypatch):
+        # n = 32 with z = 8 has 4 blocks, so v2 fits 4 centroids
+        monkeypatch.setattr(blocks, "extract_graph", None)  # rejected before any work
+        with pytest.raises(ValueError, match="v2 top_k 5 exceeds the 4 centroids"):
+            bench_masked_attention(32, 8, [4, 8], [BlockBudget(5, "v2")], repeats=3)
+
+    def test_v2_top_k_at_centroid_count_selects_every_block_pair(self):
+        (rec,) = bench_masked_attention(32, 8, [8], [BlockBudget(4, "v2")], repeats=3, seed=2)
+        assert rec.selected_blocks == 4 * 4
+        assert (rec.recall, rec.sparsity) == (1.0, 0.0)
+
+    def test_set_up_once_per_call(self, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            real = getattr(blocks, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(blocks, name, wrapper)
+
+        for name in ("extract_graph", "attention_probs", "train_projection", "kmeans_fit"):
+            counted(name)
+        budgets = [BlockBudget(k, v) for v in ("v1", "v2") for k in (1, 2)]
+        records = bench_masked_attention(32, 8, [4, 8], budgets, repeats=3, seed=5)
+        assert [(r.z, r.variant, r.top_k) for r in records] == [
+            (z, b.variant, b.top_k_blocks) for z in (4, 8) for b in budgets
+        ]
+        assert calls == {"extract_graph": 1, "attention_probs": 3 + 1,
+                         "train_projection": 2, "kmeans_fit": 2}
+
+    def test_no_centroids_without_a_v2_budget(self, monkeypatch):
+        monkeypatch.setattr(blocks, "kmeans_fit", None)
+        assert len(bench_masked_attention(32, 8, [4, 8], [BlockBudget(1, "v1")], repeats=3)) == 2
+
+    def test_selection_runs_inside_the_timed_call(self, monkeypatch):
+        timing = []
+        selected = {"timed": 0, "untimed": 0}
+        real_time, real_v1, real_cluster = blocks._time_ms, blocks.select_blocks_v1, blocks.cluster_qk
+
+        def time_ms(fn, repeats):
+            timing.append(True)
+            try:
+                return real_time(fn, repeats)
+            finally:
+                timing.pop()
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                selected["timed" if timing else "untimed"] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(blocks, "_time_ms", time_ms)
+        monkeypatch.setattr(blocks, "select_blocks_v1", counting(real_v1))
+        monkeypatch.setattr(blocks, "cluster_qk", counting(real_cluster))
+        repeats = 3
+        bench_masked_attention(32, 8, [8], [BlockBudget(1, "v1"), BlockBudget(2, "v2")],
+                               repeats=repeats, seed=6)
+        # the untimed first call of each block timing gives the record's graph
+        assert selected == {"timed": 2 * (repeats + 1), "untimed": 0}
+
+    def test_records_match_single_budget_calls(self):
+        budgets = [BlockBudget(2, "v1"), BlockBudget(1, "v2"), BlockBudget(3, "v2")]
+        together = bench_masked_attention(48, 8, [8, 16], budgets, repeats=3, seed=7,
+                                          causal=True)
+        alone = [rec for z in (8, 16) for b in budgets
+                 for rec in bench_masked_attention(48, 8, [z], [b], repeats=3, seed=7,
+                                                   causal=True)]
+        fields = ("variant", "z", "top_k", "flops_dense", "flops_block", "recall", "sparsity",
+                  "selected_blocks")
+        assert ([[getattr(r, f) for f in fields] for r in together]
+                == [[getattr(r, f) for f in fields] for r in alone])
+
     def test_csv_columns(self, tmp_path):
-        rec = bench_masked_attention(32, 12, 8, BlockBudget(2, "v1"), repeats=3, seed=4)
+        records = bench_masked_attention(32, 12, [8], [BlockBudget(2, "v1"), BlockBudget(1, "v2")],
+                                         repeats=3, seed=4)
         path = tmp_path / "bench.csv"
-        write_bench_csv([rec], path)
+        write_bench_csv(records, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(BENCH_CSV_COLUMNS)
         assert lines[1].startswith("dense,32,12,")
         assert lines[2].startswith("v1,32,12,8,2,3,")
+        assert lines[3].startswith("v2,32,12,8,1,3,")
+        assert len(lines) == 4
 
 
 class TestAudit:

@@ -99,6 +99,19 @@ class TestPipeline:
         os.remove(meta_path)
         assert cli.main(["sweep"] + base) == 3
 
+    def test_extract_reads_a_data_directory_outside_out(self, exp, tmp_path):
+        _, cfg_path, out, _ = exp
+        out2 = tmp_path / "elsewhere"
+        argv = ["extract", "--config", str(cfg_path), "--out", str(out2),
+                "--data", os.path.join(out, "data")]
+        assert cli.main(argv) == 0
+        assert not (out2 / "data").exists()
+        names = sorted(os.listdir(os.path.join(out, "graphs")))
+        assert sorted(os.listdir(out2 / "graphs")) == names
+        for name in names:
+            with open(os.path.join(out, "graphs", name), "rb") as fh:
+                assert (out2 / "graphs" / name).read_bytes() == fh.read(), name
+
     def test_pattern_only_sweep_needs_no_projection(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -274,9 +287,11 @@ class TestExitCodes:
         {"grids": {"quantization": {"beta": [2.5]}}},
         {"variants": ["v1", "v3"]}, {"repeats": 2}, {"bench_d": 1}, {"bench_window": 2},
         {"z_list": [0]}, {"top_k_list": [0]}, {"kmeans_sample": 2, "B_list": [4]},
+        {"bench_n": 32, "bench_d": 8, "z_list": [8], "top_k_list": [8], "variants": ["v2"],
+         "repeats": 3},
     ], ids=["unknown-key", "string-for-bool", "float-for-int", "float-in-int-grid",
             "unknown-variant", "two-repeats", "one-bench-dim", "even-bench-window",
-            "zero-block-size", "zero-top-k", "kmeans-sample-below-B"])
+            "zero-block-size", "zero-top-k", "kmeans-sample-below-B", "v2-top-k-above-centroids"])
     @pytest.mark.parametrize("cmd", ["gen", "train-proj", "fit-kmeans", "bench", "verify"])
     def test_bad_config_rejected_before_any_output(self, tmp_path, monkeypatch, cmd, setting):
         def no_work(*args, **kwargs):

@@ -77,19 +77,12 @@ class TestGenerate:
         assert len(mats) == 6
         assert {(sm.instance, sm.head) for sm in mats} == {(i, h) for i in range(3) for h in range(2)}
 
-    def test_loaded_generator_reads_manifest(self, tmp_path):
-        mats = generate_instances(SyntheticSpec(n=6, m=6, d=4, num_instances=2, seed=10))
-        manifest = save_qk(mats, tmp_path / "data")
-        loaded = generate_instances(SyntheticSpec(generator="loaded", path=str(manifest)))
-        assert len(loaded) == 2
-        assert np.array_equal(loaded[0].Q, mats[0].Q)
-
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(n=0)
         with pytest.raises(ConfigError):
             SyntheticSpec(generator="nope")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError):  # removed: point `data` at a manifest's directory
             SyntheticSpec(generator="loaded")
         with pytest.raises(ConfigError):
             SyntheticSpec(n=4, m=5, causal=True)

@@ -6,16 +6,13 @@ from sparseattn import (
     Centroids,
     KMeansConfig,
     PatternConfig,
-    assign_with_boundaries,
     bigbird_random_blocks,
-    bin_boundaries,
     buckets_to_graph,
     cluster_qk,
     combine_with_patterns,
     distance_pairing,
     kmeans_fit,
     lsh_assign,
-    quantize_assign,
     quantize_qk,
     recall,
     routing_assign,
@@ -23,6 +20,14 @@ from sparseattn import (
 )
 
 from oracles import bucket_intersection_edges
+
+
+def quantize_pooled(X, beta, k=None):
+    """Membership of every row of X, the first k quantized as queries and
+    the rest as keys (half each by default)."""
+    k = len(X) // 2 if k is None else k
+    qa, ka = quantize_qk(X[:k], X[k:], beta)
+    return np.vstack([qa.membership, ka.membership])
 
 
 class TestDistancePairing:
@@ -81,14 +86,14 @@ class TestQuantization:
         assert buckets_to_graph(qa, ka).edge_count == 30
 
     def test_balanced_split_example(self):
-        qa = quantize_assign(np.array([[0.1], [0.2], [0.9], [1.0]]), 2)
-        assert qa.token_buckets() == [(1,), (1,), (2,), (2,)]
+        member = quantize_pooled(np.array([[0.1], [0.2], [0.9], [1.0]]), 2, k=1)
+        assert member.tolist() == [[True, False], [True, False], [False, True], [False, True]]
 
     def test_bin_sizes_exact_and_remainder(self):
         rng = np.random.default_rng(5)
         for N, beta in ((16, 4), (10, 4), (7, 3)):
             X = rng.normal(size=(N, 4))
-            member = quantize_assign(X, beta).membership
+            member = quantize_pooled(X, beta)
             size = -(-N // beta)
             for rho in range(4):
                 counts = member[:, rho * beta : (rho + 1) * beta].sum(axis=0)
@@ -99,15 +104,15 @@ class TestQuantization:
 
     def test_every_token_in_exactly_r_buckets(self):
         rng = np.random.default_rng(6)
-        member = quantize_assign(rng.normal(size=(12, 4)), 3).membership
+        member = quantize_pooled(rng.normal(size=(12, 4)), 3)
         assert member.shape[1] == 4 * 3  # B = r * beta
         np.testing.assert_array_equal(member.sum(axis=1), 4)
 
     def test_beta_exceeding_tokens_rejected(self):
         with pytest.raises(ValueError):
-            quantize_assign(np.zeros((3, 2)), 4)
+            quantize_qk(np.zeros((1, 2)), np.zeros((2, 2)), 4)
         with pytest.raises(ValueError):
-            quantize_assign(np.zeros((3, 2)), 0)
+            quantize_qk(np.zeros((1, 2)), np.zeros((2, 2)), 0)
 
     def test_per_dimension_nesting_under_divisibility(self):
         # bins only split when beta doubles and the pooled count divides evenly
@@ -126,17 +131,8 @@ class TestQuantization:
     def test_identical_values_share_a_bucket(self):
         # duplicates straddling a balanced boundary collapse into one bin
         X = np.array([[0.0], [0.5], [0.5], [1.0]])
-        buckets = quantize_assign(X, 2).token_buckets()
-        assert buckets[1] == buckets[2]
-
-    def test_precomputed_boundaries_match_quantize_assign(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(20, 3))
-        cuts = bin_boundaries(X, 4)
-        assert cuts.shape == (3, 3)
-        a = assign_with_boundaries(X, cuts)
-        b = quantize_assign(X, 4)
-        np.testing.assert_array_equal(a.membership, b.membership)
+        member = quantize_pooled(X, 2)
+        assert np.array_equal(member[1], member[2])
 
 
 class TestBucketsToGraph:
@@ -259,10 +255,9 @@ class TestBigBird:
 class TestLSH:
     def test_identical_vectors_share_buckets(self):
         X = np.tile([[0.3, -1.2, 0.7]], (5, 1))
-        qa = lsh_assign(X, rounds=4, num_buckets=4, seed=7)
-        buckets = qa.token_buckets()
-        assert all(b == buckets[0] for b in buckets)
-        assert len(buckets[0]) == 4  # one bucket per round
+        member = lsh_assign(X, rounds=4, num_buckets=4, seed=7).membership
+        assert (member == member[0]).all()
+        assert member[0].sum() == 4  # one bucket per round
 
     def test_single_bucket_complete_graph(self):
         rng = np.random.default_rng(8)
@@ -275,9 +270,8 @@ class TestLSH:
     def test_antipodal_pair_split(self):
         v = np.array([1.0, 2.0, -0.5])
         X = np.stack([v, -v])
-        qa = lsh_assign(X, rounds=1, num_buckets=2, seed=10)
-        buckets = qa.token_buckets()
-        assert buckets[0] != buckets[1]
+        member = lsh_assign(X, rounds=1, num_buckets=2, seed=10).membership
+        assert not np.array_equal(member[0], member[1])
 
     def test_shared_seed_shares_planes(self):
         rng = np.random.default_rng(11)
@@ -298,9 +292,8 @@ class TestRouting:
     def test_far_token_left_unassigned(self):
         X = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [50.0, 50.0]])
         c = Centroids(np.array([[0.0, 0.0]]))
-        qa = routing_assign(X, c, 3)
-        assert qa.token_buckets()[3] == ()
-        assert all(qa.token_buckets()[i] == (1,) for i in range(3))
+        member = routing_assign(X, c, 3).membership
+        assert member.tolist() == [[True], [True], [True], [False]]
 
     def test_balanced_bucket_sizes(self):
         rng = np.random.default_rng(14)
