@@ -1,8 +1,9 @@
 """Hot numeric kernels, in numpy.
 
 These are the loops that dominate run time: row-wise alpha-entmax on a
-dense mask, score + alpha-entmax on the cells of a CSR graph, pairwise
-squared distances and nearest-centroid assignment.  The rest of the
+dense mask, score + alpha-entmax on the cells of a CSR graph (scored per
+row, or per bucket and band offset through a predicted graph's cover),
+pairwise squared distances and nearest-centroid assignment.  The rest of the
 package calls them through this module so that each has exactly one
 implementation; ``solve_rows`` holds the package's only alpha dispatch.
 """
@@ -66,13 +67,55 @@ def _softmax_rows(s):
     return P, np.log(total)
 
 
+# Width of the sorted prefix that ``_entmax15_rows`` solves first; a 1.5-entmax
+# support is about 14 cells wide on the benchmark's 16 attention heads, and at
+# most 31, so none of their rows is solved twice.
+_PREFIX = 32
+# How far below the prefix's tau the largest cell left out of the prefix must
+# lie for the prefix's tau to be final.  In the shifted domain tau lies in
+# [-1, 0]; near the support size where delta reaches 0, tau_k carries rounding
+# errors of up to about sqrt(eps) ~ 1.5e-8, and rows of integer scores tie many
+# cells at tau exactly.
+_TIE_MARGIN = 1e-6
+
+
 def _entmax15_rows(s):
     """1.5-entmax of rows s = (z - max z) / 2: the threshold is
     tau = mean_k - sqrt((1 - k * var_k) / k) at the true support size k,
-    and p_j = [s_j - tau]_+^2."""
-    srt = np.sort(s, axis=1)[:, ::-1]
+    and p_j = [s_j - tau]_+^2.
+
+    Rows wider than _PREFIX cells are first solved from their _PREFIX
+    largest cells.  The support test tau_k <= s_(k) is monotone in k, and
+    the first k running sums are the same operations on the same values as
+    in a whole-row solve, so a row's tau is final unless a cell outside the
+    prefix could pass the test.  That needs the row's largest such cell to
+    lie above the prefix's tau, or within _TIE_MARGIN below it (cells tied
+    at the threshold pass or fail by rounding); a support that fills the
+    prefix is one case, since the prefix's tau then lies below the cells
+    it left out.  Only those rows are solved again over the whole row, so
+    P and tau are bit-identical to a whole-row solve (but for the
+    undefined tau of an all-padding row).
+    """
+    w = s.shape[1]
+    if w <= _PREFIX + 1:
+        tau = _entmax15_tau(np.sort(s, axis=1)[:, ::-1])
+    else:
+        top = np.partition(s, w - _PREFIX - 1, axis=1)[:, w - _PREFIX - 1:]
+        top.sort(axis=1)
+        tau = _entmax15_tau(top[:, :0:-1])
+        full = np.flatnonzero(top[:, 0] > tau - _TIE_MARGIN)
+        if full.size:
+            tau[full] = _entmax15_tau(np.sort(s[full], axis=1)[:, ::-1])
+    s -= tau[:, None]
+    np.maximum(s, 0.0, out=s)
+    s *= s
+    return s, tau
+
+
+def _entmax15_tau(srt):
+    """tau of 1.5-entmax rows from their cells sorted in decreasing order."""
     real = np.where(srt > -np.inf, srt, 0.0)  # padding adds nothing
-    k = np.arange(1, s.shape[1] + 1, dtype=np.float64)
+    k = np.arange(1, srt.shape[1] + 1, dtype=np.float64)
     csum = np.cumsum(real, axis=1)
     real *= real
     ss = np.cumsum(real, axis=1)
@@ -86,11 +129,7 @@ def _entmax15_rows(s):
     np.sqrt(ss, out=ss)
     tau = np.subtract(mean, ss, out=mean)
     support = np.count_nonzero(tau <= srt, axis=1)
-    tau_star = tau[np.arange(s.shape[0]), support - 1]
-    s -= tau_star[:, None]
-    np.maximum(s, 0.0, out=s)
-    s *= s
-    return s, tau_star
+    return tau[np.arange(srt.shape[0]), support - 1]
 
 
 def _sparsemax_rows(s):
@@ -179,21 +218,24 @@ def kmeans_assign(X, C):
     return labels, inertia
 
 
-def sparse_rows_entmax15(Q, K, indptr, cols, scale, alpha):
+def sparse_rows_entmax15(Q, K, indptr, cols, scale, alpha, scores=None):
     """Score + alpha-entmax evaluated only on the CSR-selected (i, j) cells.
 
     Returns one probability per stored cell, aligned with ``cols``.  Rows
-    with no stored cells contribute nothing.  Rows are solved by
-    ``solve_rows`` in groups of equal padded width (the next power of two
-    of their length), in chunks of at most ``_BATCH_CELLS`` padded cells.
-    The name predates the other alphas; the benchmark's trace binds it.
+    with no stored cells contribute nothing.  The scores are ``scores`` if
+    given (one per stored cell, already scaled), else each row's
+    ``K[cols] @ Q[i] * scale``.  Rows are solved by ``solve_rows`` in groups
+    of equal padded width (the next power of two of their length), in
+    chunks of at most ``_BATCH_CELLS`` padded cells.  The name predates the
+    other alphas; the benchmark's trace binds it and counts ``cols``.
     """
-    scores = np.empty(cols.size)
-    bounds = indptr.tolist()
-    for i, q in enumerate(Q):
-        lo, hi = bounds[i], bounds[i + 1]
-        if hi > lo:
-            np.multiply(K.take(cols[lo:hi], axis=0) @ q, scale, out=scores[lo:hi])
+    if scores is None:
+        scores = np.empty(cols.size)
+        bounds = indptr.tolist()
+        for i, q in enumerate(Q):
+            lo, hi = bounds[i], bounds[i + 1]
+            if hi > lo:
+                np.multiply(K.take(cols[lo:hi], axis=0) @ q, scale, out=scores[lo:hi])
     vals = np.zeros(cols.size)
     lens = np.diff(indptr)
     # padded width 2**ceil(log2(len)) (frexp's exponent is the bit length
@@ -212,3 +254,70 @@ def sparse_rows_entmax15(Q, K, indptr, cols, scale, alpha):
             S[pad] = scores[cells]
             vals[cells] = solve_rows(S, alpha)[0][pad]
     return vals
+
+
+# ---------------------------------------------------------------------------
+# Scoring a predicted graph through its cover
+#
+# A cover is a tuple of pieces whose cells, cut to the admissible cells, are
+# a graph's edges:
+#   ("buckets", mq, mk)  for every bucket b, the rectangle of the queries i
+#                        with mq[i, b] and the keys j with mk[j, b] (boolean
+#                        (n, B) and (m, B) memberships);
+#   ("band", half)       keys i - half .. i + half of each query i (.. i if
+#                        causal).
+# A cell in several pieces (or in two buckets) is scored once for each.
+
+
+def _band_offsets(half, causal):
+    return range(-half, 1 if causal else half + 1)
+
+
+def cover_cells(cover, n, m, causal) -> int:
+    """Cells ``score_cover`` computes for ``cover`` on an n x m grid, a cell
+    once per piece or bucket that holds it (a causal bucket rectangle
+    counts its cells above the diagonal too)."""
+    cells = 0
+    for kind, *args in cover:
+        if kind == "buckets":
+            mq, mk = args
+            cells += int(mq.sum(axis=0) @ mk.sum(axis=0))
+        else:
+            cells += sum(max(0, min(n, m - o) - max(0, -o))
+                         for o in _band_offsets(args[0], causal))
+    return cells
+
+
+def score_cover(Q, K, cover, causal, out):
+    """Write the dot product Q[i] . K[j] into out[i, j] for every cell of
+    ``cover``, leaving the other cells of the C-contiguous (n, m) ``out``
+    as they are.
+
+    Each bucket is one GEMM, ``Q[qb] @ K[kb].T``, scattered into its
+    rectangle; each band offset is one row-wise dot of two row slices,
+    stored through a stride-(m + 1) view of that diagonal.
+    """
+    n, m = out.shape
+    flat = out.reshape(-1)
+    for kind, *args in cover:
+        if kind == "buckets":
+            mq, mk = args
+            B = mq.shape[1]
+            # tokens grouped by bucket: nonzero of the (B, tokens) view
+            qb, qt = np.nonzero(mq.T)
+            kb, kt = np.nonzero(mk.T)
+            qs = np.searchsorted(qb, np.arange(B + 1)).tolist()
+            ks = np.searchsorted(kb, np.arange(B + 1)).tolist()
+            Qg, Kg = Q[qt], K[kt]
+            for b in range(B):
+                q0, q1, k0, k1 = qs[b], qs[b + 1], ks[b], ks[b + 1]
+                if q1 > q0 and k1 > k0:
+                    cells = qt[q0:q1, None] * m + kt[k0:k1]
+                    flat[cells.ravel()] = (Qg[q0:q1] @ Kg[k0:k1].T).ravel()
+        else:
+            for o in _band_offsets(args[0], causal):
+                i0, i1 = max(0, -o), min(n, m - o)
+                if i1 > i0:
+                    start = i0 * (m + 1) + o
+                    flat[start : start + (i1 - i0 - 1) * (m + 1) + 1 : m + 1] = np.einsum(
+                        "ij,ij->i", Q[i0:i1], K[i0 + o : i1 + o])

@@ -29,6 +29,7 @@ from .graph import (
 )
 from .kmeans import KMeansConfig, kmeans_fit
 from .predictors import (
+    BucketAssignment,
     PatternConfig,
     _block_pairs_graph,
     buckets_to_graph,
@@ -165,6 +166,16 @@ def csr_from_graph(g: AttentionGraph):
     return np.searchsorted(g._lin, np.arange(g.n + 1) * g.m), g._lin % g.m
 
 
+# A graph is scored through its cover only while the cover has at most this
+# many cells per edge; otherwise its rows are scored one by one.  The 16
+# benchmark ``attend`` heads (k = 2 of B = 32 buckets, window 15) have 1.11 to
+# 1.13 and score 1.3 times faster through the cover.  On 8 of them, one BLAS
+# thread, at k = 8 (2.86 to 2.96) the cover was still faster (614 against
+# 696 ms), at k = 16 (9.0 to 9.3) about twice as slow, and at k = B = 32 five
+# times slower (3,259 against 628 ms).
+_COVER_CELLS_PER_EDGE = 2.0
+
+
 def sparse_attention_probs(
     sm: ScoreMatrix, graph: AttentionGraph, params: EntmaxParams = DEFAULT_PARAMS
 ) -> np.ndarray:
@@ -174,15 +185,43 @@ def sparse_attention_probs(
     Rows without edges stay all-zero.  When the graph contains the gold
     support of every row, the result equals ``attention_probs(sm, params)``
     (sparse consistency).
+
+    A graph built by ``buckets_to_graph``, ``window_global_graph`` or their
+    union is scored through its cover: one GEMM per bucket rectangle (a
+    global token is a bucket of its own) and one row-wise dot per band
+    offset, written into the output array before it receives the
+    probabilities.  A cell shared by several buckets or pieces is scored
+    once for each, and causal bucket rectangles include the cells above the
+    diagonal; the benchmark's ``attend`` heads score 1.11 cells per edge.
+    Any other graph, and one whose cover has more than
+    ``_COVER_CELLS_PER_EDGE`` cells per edge, is scored row by row on its
+    edges alone.
     """
     if (graph.n, graph.m, graph.causal) != (sm.n, sm.m, sm.causal):
         raise ValueError("graph shape/causal flag does not match score matrix")
+    cover = graph._cover
+    if cover is not None and (_kernels.cover_cells(cover, sm.n, sm.m, sm.causal)
+                              > _COVER_CELLS_PER_EDGE * graph.edge_count):
+        cover = None
+    return _probs_on_edges(sm, graph, params, cover)
+
+
+def _probs_on_edges(sm, graph, params, cover):
+    """``sparse_attention_probs`` scoring through ``cover`` (the graph's own),
+    or row by row if it is None."""
     indptr, cols = csr_from_graph(graph)
     scale = 1.0 / np.sqrt(sm.d)
-    vals = _kernels.sparse_rows_entmax15(sm.Q, sm.K, indptr, cols, scale, params.alpha)
-    P = np.zeros(sm.n * sm.m)
-    P[graph._lin] = vals
-    return P.reshape(sm.n, sm.m)
+    P = np.zeros((sm.n, sm.m))
+    flat = P.reshape(-1)
+    scores = None
+    if cover is not None:
+        _kernels.score_cover(sm.Q, sm.K, cover, sm.causal, P)
+        scores = flat[graph._lin] * scale
+        if sm.causal:  # the only cover cells that are not edges lie above the diagonal
+            P.fill(0.0)
+    flat[graph._lin] = _kernels.sparse_rows_entmax15(
+        sm.Q, sm.K, indptr, cols, scale, params.alpha, scores)
+    return P
 
 
 # (n, causal) of the heads ``audit_sparse_attention`` checks.  At n = 512
@@ -196,12 +235,18 @@ def audit_sparse_attention(seed: int = 0, alpha: float = 1.5):
 
     Each head of ``AUDIT_HEADS`` gets random scores drawn from ``seed`` and
     a graph covering its gold support plus random extra edges (a random
-    density per row, so row lengths spread widely).  Returns one record per
-    head where ``sparse_attention_probs`` and ``attention_probs`` differ by
-    more than 1e-9 (empty on a healthy build).
+    density per row, so row lengths spread widely), on which
+    ``sparse_attention_probs`` must equal ``attention_probs`` within 1e-9
+    (check ``"dense"``).  Each head also gets a bucket-plus-window graph
+    (random memberships with an empty bucket and tokens in no bucket, a
+    window of 5 and global token 0) whose probabilities scored through its
+    cover must equal those of the same edges scored row by row within 1e-12
+    (check ``"cover"``).  Returns one record per failed check (empty on a
+    healthy build).
     """
     params = EntmaxParams(alpha=alpha)
     rng = np.random.default_rng(seed)
+    cover_rng = np.random.default_rng([seed, 1])
     failures = []
     for head, (n, causal) in enumerate(AUDIT_HEADS):
         sm = ScoreMatrix(rng.normal(size=(n, 16)), rng.normal(size=(n, 16)), causal=causal)
@@ -212,9 +257,21 @@ def audit_sparse_attention(seed: int = 0, alpha: float = 1.5):
             extract_graph(sm, params), AttentionGraph.from_dense(extra, causal=causal)
         )
         P = sparse_attention_probs(sm, graph, params)
-        diff = np.max(np.abs(P - attention_probs(sm, params)))
-        if not diff <= 1e-9:
-            failures.append({"head": head, "n": n, "causal": causal, "max_abs_diff": float(diff)})
+        checks = [("dense", np.max(np.abs(P - attention_probs(sm, params))), 1e-9)]
+
+        mq, mk = (cover_rng.random((n, 8)) < 0.2 for _ in range(2))
+        mq[:, -1] = False
+        bucketed = combine_with_patterns(
+            buckets_to_graph(BucketAssignment(mq), BucketAssignment(mk), causal=causal),
+            PatternConfig(window=5, global_tokens=(0,), causal=causal),
+        )
+        by_rows = _probs_on_edges(sm, bucketed, params, None)
+        by_cover = _probs_on_edges(sm, bucketed, params, bucketed._cover)
+        checks.append(("cover", np.max(np.abs(by_cover - by_rows)), 1e-12))
+        for check, diff, tol in checks:
+            if not diff <= tol:
+                failures.append({"head": head, "n": n, "causal": causal, "check": check,
+                                 "max_abs_diff": float(diff)})
     return failures
 
 
@@ -258,11 +315,18 @@ def _v2_centroids(n: int, z: int) -> int:
 
 
 def check_bench_budgets(n: int, z_list, budgets) -> None:
-    """Reject a v2 budget whose top_k exceeds the centroid count of some z
-    (a top_k equal to it selects every block pair)."""
+    """Reject a budget that ``bench`` would clamp for some z: a v1 top_k above
+    the ceil(n / z) key blocks, or a v2 top_k above the centroid count (a
+    top_k equal to it selects every block pair).  A causal query block bi
+    still ranks only its bi + 1 admissible key blocks."""
     for z in z_list:
         B = _v2_centroids(n, z)
         for budget in budgets:
+            if budget.variant == "v1" and budget.top_k_blocks > _nblocks(n, z):
+                raise ValueError(
+                    f"v1 top_k {budget.top_k_blocks} exceeds the {_nblocks(n, z)} key blocks "
+                    f"of n={n} at z={z} (ceil(n / z))"
+                )
             if budget.variant == "v2" and budget.top_k_blocks > B:
                 raise ValueError(
                     f"v2 top_k {budget.top_k_blocks} exceeds the {B} centroids of "

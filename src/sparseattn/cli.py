@@ -354,12 +354,13 @@ def cmd_verify(args) -> int:
     if failures or head_failures:
         print(
             f"verify: FAIL: {len(failures)}/{cfg.trials} dominating-mask trials and "
-            f"{len(head_failures)}/{heads} sparse-attention heads violate sparse consistency"
+            f"{len({f['head'] for f in head_failures})}/{heads} sparse-attention heads "
+            f"violate sparse consistency"
         )
         for f in failures[:10]:
             print(f"  trial {f['trial']}: n={f['n']} extra_bits={f['extra_bits']}")
         for f in head_failures:
-            print(f"  head {f['head']}: n={f['n']} causal={f['causal']} "
+            print(f"  head {f['head']} ({f['check']}): n={f['n']} causal={f['causal']} "
                   f"max diff {f['max_abs_diff']:.3g}")
         return 4
     print(f"verify: OK: {cfg.trials} random dominating-mask trials and {heads} "

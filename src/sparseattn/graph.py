@@ -86,9 +86,16 @@ class AttentionGraph:
     any order) and establishes that invariant with ``np.unique``; the
     private ``_from_sorted_lin``, used by every builder that emits sorted
     indices, trusts its input to hold it already.
+
+    ``_cover`` is ``None`` or a tuple of pieces whose cells, cut to the
+    admissible cells, are exactly the edges (the pieces are listed above
+    ``_kernels.score_cover``).  Only ``buckets_to_graph``,
+    ``window_global_graph`` and ``graph_union`` set it, so that
+    ``sparse_attention_probs`` can score a predicted graph by blocks;
+    equality and file I/O ignore it.
     """
 
-    __slots__ = ("n", "m", "causal", "_lin")
+    __slots__ = ("n", "m", "causal", "_lin", "_cover")
 
     def __init__(self, n, m, edges=(), causal=False):
         n, m = _graph_shape(n, m, causal)
@@ -107,16 +114,19 @@ class AttentionGraph:
         lin = np.unique(e[:, 0] * m + e[:, 1])
         lin.setflags(write=False)
         self._lin = lin
+        self._cover = None
 
     @classmethod
-    def _from_sorted_lin(cls, n, m, lin, causal):
+    def _from_sorted_lin(cls, n, m, lin, causal, cover=None):
         """Graph over linear indices ``lin`` that the caller guarantees to be
-        in range, sorted and unique (unchecked)."""
+        in range, sorted and unique, and covered exactly by ``cover``
+        (unchecked)."""
         g = cls.__new__(cls)
         g.n, g.m, g.causal = n, m, bool(causal)
         lin = np.asarray(lin, dtype=np.int64)
         lin.setflags(write=False)
         g._lin = lin
+        g._cover = cover
         return g
 
     @classmethod
@@ -172,13 +182,14 @@ def _ranges(starts, lengths):
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(int(ends[-1]) if ends.size else 0)
 
 
-def _row_block_graph(n, m, causal, rule) -> AttentionGraph:
+def _row_block_graph(n, m, causal, rule, cover=None) -> AttentionGraph:
     """Graph of the cells where ``rule(r0, r1, c1)`` holds.
 
     ``rule`` returns a fresh boolean block over queries r0..r1-1 and keys
     0..c1-1.  Blocks hold at most ``_kernels._BATCH_CELLS`` cells, a causal
     block stops at its last row's diagonal and is cut to the lower
     triangle, and row-major ``flatnonzero`` keeps the edges sorted.
+    ``cover`` becomes the graph's cover.
     """
     n, m = _graph_shape(n, m, causal)
     step = max(1, _kernels._BATCH_CELLS // m)
@@ -192,7 +203,7 @@ def _row_block_graph(n, m, causal, rule) -> AttentionGraph:
         flat = np.flatnonzero(block)
         parts.append(flat + r0 * m if c1 == m else (flat // c1 + r0) * m + flat % c1)
     lin = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return AttentionGraph._from_sorted_lin(n, m, lin, causal)
+    return AttentionGraph._from_sorted_lin(n, m, lin, causal, cover)
 
 
 def admissible_count(n: int, m: int, causal: bool) -> int:
@@ -256,10 +267,12 @@ def sparsity(g: AttentionGraph) -> float:
 
 
 def graph_union(a: AttentionGraph, b: AttentionGraph) -> AttentionGraph:
-    """Edges of either graph; a linear merge of the two sorted edge lists."""
+    """Edges of either graph; a linear merge of the two sorted edge lists.
+    The union is covered by both covers together when both graphs have one."""
     _check_same_shape(a, b)
     lin = _merge_sorted(a._lin, b._lin)
-    return AttentionGraph._from_sorted_lin(a.n, a.m, lin, a.causal)
+    cover = None if a._cover is None or b._cover is None else a._cover + b._cover
+    return AttentionGraph._from_sorted_lin(a.n, a.m, lin, a.causal, cover)
 
 
 def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .graph import AttentionGraph, _graph_shape, _ranges, _row_block_graph, graph_union
+from .graph import (
+    AttentionGraph,
+    _graph_shape,
+    _merge_sorted,
+    _ranges,
+    _row_block_graph,
+    graph_union,
+)
 from .kmeans import Centroids, assign_topk_membership
 
 
@@ -112,7 +119,11 @@ def cluster_qk(Qp, Kp, centroids: Centroids, k: int):
 
 
 def buckets_to_graph(qa: BucketAssignment, ka: BucketAssignment, causal: bool = False) -> AttentionGraph:
-    """Edge (i, j) iff query i and key j share at least one bucket."""
+    """Edge (i, j) iff query i and key j share at least one bucket.
+
+    The graph keeps the two memberships as its cover: the cells of every
+    bucket's query x key rectangle.
+    """
     if qa.n_buckets != ka.n_buckets:
         raise ValueError(
             f"bucket universes differ: {qa.n_buckets} vs {ka.n_buckets}"
@@ -123,33 +134,48 @@ def buckets_to_graph(qa: BucketAssignment, ka: BucketAssignment, causal: bool = 
     return _row_block_graph(
         qa.n_tokens, ka.n_tokens, causal,
         lambda r0, r1, c1: mq[r0:r1] @ mk[:c1].T > 0,
+        cover=(("buckets", qa.membership, ka.membership),),
     )
 
 
 def window_global_graph(n: int, m: int, pc: PatternConfig) -> AttentionGraph:
-    """Diagonal band of width +-floor(w/2) plus rows/columns of global tokens."""
+    """Diagonal band of width +-floor(w/2) plus rows/columns of global tokens.
+
+    The band and the global rows and columns are each built sorted and
+    merged; they are also the graph's cover.
+    """
     n, m = _graph_shape(n, m, pc.causal)
     for g in pc.global_tokens:
         if g >= n:
             raise ValueError(f"global token {g} out of range for n={n}")
     rows = np.arange(n, dtype=np.int64)
+    cover = ()
     if pc.window > 0:
         half = pc.window // 2
         lo = np.maximum(rows - half, 0)
         hi = np.minimum(rows if pc.causal else rows + half, m - 1)
         lin = _ranges(rows * m + lo, np.maximum(hi - lo + 1, 0))
+        cover = (("band", half),)
     else:
         lin = np.empty(0, dtype=np.int64)
     if pc.global_tokens:
         g = np.array(pc.global_tokens, dtype=np.int64)
         # a global token attends to every admissible key ...
         attends = _ranges(g * m, g + 1 if pc.causal else np.full(g.size, m))
-        # ... and every admissible query attends to it
+        # ... and every admissible query attends to it, row after row
         cols = g[g < m]
-        first = cols if pc.causal else np.zeros_like(cols)
-        attended = _ranges(first, n - first) * m + np.repeat(cols, n - first)
-        lin = np.unique(np.concatenate([lin, attends, attended]))
-    return AttentionGraph._from_sorted_lin(n, m, lin, pc.causal)
+        attended = rows[:, None] * m + cols
+        attended = attended[cols <= rows[:, None]] if pc.causal else attended.ravel()
+        lin = _merge_sorted(_merge_sorted(lin, attends), attended)
+        # one bucket per global query, holding every key, and one per global
+        # key, holding every query
+        G = g.size + cols.size
+        mq, mk = np.zeros((n, G), dtype=bool), np.zeros((m, G), dtype=bool)
+        mq[g, np.arange(g.size)] = True
+        mk[cols, g.size + np.arange(cols.size)] = True
+        mq[:, g.size:] = mk[:, :g.size] = True
+        cover += (("buckets", mq, mk),)
+    return AttentionGraph._from_sorted_lin(n, m, lin, pc.causal, cover)
 
 
 def bigbird_random_blocks(

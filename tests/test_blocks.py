@@ -334,6 +334,12 @@ class TestBench:
         with pytest.raises(ValueError, match="v2 top_k 5 exceeds the 4 centroids"):
             bench_masked_attention(32, 8, [4, 8], [BlockBudget(5, "v2")], repeats=3)
 
+    def test_v1_top_k_above_blocks_rejected(self, monkeypatch):
+        # n = 32 with z = 8 has 4 key blocks; z = 4 has 8
+        monkeypatch.setattr(blocks, "extract_graph", None)  # rejected before any work
+        with pytest.raises(ValueError, match="v1 top_k 5 exceeds the 4 key blocks"):
+            bench_masked_attention(32, 8, [4, 8], [BlockBudget(5, "v1")], repeats=3)
+
     def test_v2_top_k_at_centroid_count_selects_every_block_pair(self):
         (rec,) = bench_masked_attention(32, 8, [8], [BlockBudget(4, "v2")], repeats=3, seed=2)
         assert rec.selected_blocks == 4 * 4

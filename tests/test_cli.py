@@ -289,9 +289,12 @@ class TestExitCodes:
         {"z_list": [0]}, {"top_k_list": [0]}, {"kmeans_sample": 2, "B_list": [4]},
         {"bench_n": 32, "bench_d": 8, "z_list": [8], "top_k_list": [8], "variants": ["v2"],
          "repeats": 3},
+        {"bench_n": 32, "bench_d": 8, "z_list": [8], "top_k_list": [8], "variants": ["v1"],
+         "repeats": 3},
     ], ids=["unknown-key", "string-for-bool", "float-for-int", "float-in-int-grid",
             "unknown-variant", "two-repeats", "one-bench-dim", "even-bench-window",
-            "zero-block-size", "zero-top-k", "kmeans-sample-below-B", "v2-top-k-above-centroids"])
+            "zero-block-size", "zero-top-k", "kmeans-sample-below-B", "v2-top-k-above-centroids",
+            "v1-top-k-above-blocks"])
     @pytest.mark.parametrize("cmd", ["gen", "train-proj", "fit-kmeans", "bench", "verify"])
     def test_bad_config_rejected_before_any_output(self, tmp_path, monkeypatch, cmd, setting):
         def no_work(*args, **kwargs):
@@ -316,7 +319,8 @@ class TestExitCodes:
     def test_verify_reports_sparse_attention_violations_with_exit_4(self, monkeypatch, capsys):
         monkeypatch.setattr(
             cli, "audit_sparse_attention",
-            lambda seed, alpha: [{"head": 3, "n": 512, "causal": False, "max_abs_diff": 0.5}],
+            lambda seed, alpha: [{"head": 3, "n": 512, "causal": False, "check": "cover",
+                                  "max_abs_diff": 0.5}],
         )
         assert cli.main(["verify", "--trials", "10"]) == 4
         assert "0/10 dominating-mask trials and 1/5 sparse-attention heads" in capsys.readouterr().out

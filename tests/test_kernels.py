@@ -181,3 +181,62 @@ def test_entmax15_core_matches_oracles(seed, size, spread, ties):
     p_bis, tau_bis = entmax_bisect(z, alpha=1.5)
     np.testing.assert_allclose(p, p_bis, rtol=0, atol=1e-9)
     assert abs(tau - tau_bis) <= 1e-9
+
+
+def _whole_row_solve(S):
+    """alpha-1.5 ``solve_rows`` with every row sorted and solved whole."""
+    with mock.patch.object(_kernels, "_PREFIX", 10**9):
+        return _kernels.solve_rows(S, 1.5)
+
+
+def _assert_prefix_solve_exact(S):
+    P, tau = _kernels.solve_rows(S, 1.5)
+    P_ref, tau_ref = _whole_row_solve(S)
+    assert np.array_equal(P, P_ref)
+    real = (S > -np.inf).any(axis=1)  # an all-padding row's tau is undefined
+    assert np.array_equal(tau[real], tau_ref[real])
+    return P
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 12),
+    width=st.one_of(st.integers(1, 600), st.sampled_from([31, 32, 33, 34, 64, 65])),
+    kind=st.sampled_from(["normal", "ties", "padded", "near-constant"]),
+    spread=st.floats(0.01, 20.0),
+    empty=st.lists(st.integers(0, 11), max_size=3),
+)
+def test_prefix_solve_is_bit_equal_to_whole_row_solve(seed, rows, width, kind, spread, empty):
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(rows, width)) * spread
+    if kind == "ties":
+        S = np.round(S)
+    elif kind == "padded":
+        S[rng.random(S.shape) < rng.random((rows, 1))] = -np.inf
+    elif kind == "near-constant":
+        S = 1.0 + S * 1e-4
+    S[[i for i in empty if i < rows]] = -np.inf
+    P = _assert_prefix_solve_exact(S)
+    if kind == "near-constant" and width > 64:
+        # a support of 32 cells or more: these rows took the whole-row solve
+        assert np.all(np.count_nonzero(P, axis=1)[~np.isinf(S).all(axis=1)] >= 32)
+
+
+@pytest.mark.parametrize("width", [34, 100, 600])
+def test_prefix_solve_with_cells_tied_at_the_threshold(width):
+    # s = z / 2 = [0, -1, -1, ...]: tau = -1 for every k in exact arithmetic,
+    # so the support test holds with equality, and rounding decides it
+    z = np.full((1, width), -2.0)
+    z[0, 0] = 0.0
+    P = _assert_prefix_solve_exact(z)
+    np.testing.assert_allclose(P, np.eye(1, width), rtol=0, atol=1e-12)
+
+
+def test_prefix_solve_rows_of_32_cells_or_fewer():
+    rng = np.random.default_rng(11)
+    for width in range(1, 34):
+        S = rng.normal(size=(20, width)) * 3.0
+        S[::3, ::2] = -np.inf
+        S[5] = -np.inf
+        _assert_prefix_solve_exact(S)
