@@ -5,7 +5,12 @@ dense mask, score + alpha-entmax on the cells of a CSR graph (scored per
 row, or per bucket and band offset through a predicted graph's cover),
 pairwise squared distances and nearest-centroid assignment.  The rest of the
 package calls them through this module so that each has exactly one
-implementation; ``solve_rows`` holds the package's only alpha dispatch.
+implementation; ``solve_rows`` holds the package's only alpha dispatch and
+``sqdist_into`` the only distance formula.
+
+The distance kernels take their operands' squared norms and (n, m) output
+and scratch arrays from the caller, so a k-means fit computes the points'
+norms once and reuses two arrays across all the Lloyd steps of a restart.
 """
 
 import numpy as np
@@ -202,20 +207,51 @@ def entmax15_masked_rows(Z, valid, alpha):
     return P
 
 
+def sqdist_into(A, a2, B, D, G):
+    """Write the unclamped squared distances a2_i + |B_j|^2 - 2 A_i . B_j
+    into the caller's (n, m) array D, using the (n, m) array G as scratch,
+    and return D.  ``a2`` is ``np.sum(A * A, axis=1)``, which a caller
+    running many steps over the same A computes once.
+
+    The sums are those of the one-shot expression
+    ``a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)`` (addition commutes
+    exactly), so D is bit-identical to it: the package's one distance
+    formula.  Filling D with b2 and then adding a2 takes less time than
+    one broadcast add.
+    """
+    D[:] = np.sum(B * B, axis=1)
+    D += a2[:, None]
+    np.matmul(A, B.T, out=G)
+    G *= 2.0
+    D -= G
+    return D
+
+
 def pairwise_sqdist(A, B):
-    """Squared Euclidean distances between rows of A (n,r) and B (m,r)."""
-    a2 = np.sum(A * A, axis=1)
-    b2 = np.sum(B * B, axis=1)
-    D = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
-    return np.maximum(D, 0.0)
+    """Squared Euclidean distances between rows of A (n,r) and B (m,r),
+    clamped at 0."""
+    n, m = A.shape[0], B.shape[0]
+    D = sqdist_into(A, np.sum(A * A, axis=1), B, np.empty((n, m)), np.empty((n, m)))
+    return np.maximum(D, 0.0, out=D)
 
 
-def kmeans_assign(X, C):
-    """Nearest-centroid labels (ties to the lower index) and total inertia."""
-    D = pairwise_sqdist(X, C)
-    labels = np.argmin(D, axis=1).astype(np.int64)
-    inertia = float(D[np.arange(X.shape[0]), labels].sum())
-    return labels, inertia
+def kmeans_assign(X, C, x2, D, G):
+    """Nearest-centroid labels (ties to the lower index) and total inertia
+    of the rows of X, with ``x2``, D and G as for ``sqdist_into``.
+
+    The distances are clamped at 0 only where it matters: a row whose
+    smallest entry is <= 0 takes its first entry <= 0, as the argmin of
+    the clamped row would, since each such entry clamps to 0.
+    """
+    sqdist_into(X, x2, C, D, G)
+    labels = np.argmin(D, axis=1)
+    rows = np.arange(X.shape[0])
+    mins = D[rows, labels]
+    low = np.flatnonzero(mins <= 0.0)
+    if low.size:
+        labels[low] = np.argmax(D[low] <= 0.0, axis=1)
+        mins[low] = 0.0
+    return labels, float(mins.sum())
 
 
 def sparse_rows_entmax15(Q, K, indptr, cols, scale, alpha, scores=None):

@@ -47,11 +47,21 @@ class Centroids:
         return self.C.shape[1]
 
 
-def _kmeanspp_seed(X, B, rng):
+def _kmeanspp_seed(X, x2, B, rng):
+    """k-means++: each next center is a point drawn with probability
+    proportional to its squared distance to the closest center so far.
+    One pair of (N, 1) arrays holds each new center's distances."""
     N = X.shape[0]
     centers = np.empty((B, X.shape[1]))
+    D, G = np.empty((N, 1)), np.empty((N, 1))
+    d_new = D.ravel()
+
+    def distances_to(b):
+        _kernels.sqdist_into(X, x2, centers[b : b + 1], D, G)
+        return np.maximum(d_new, 0.0, out=d_new)
+
     centers[0] = X[rng.integers(N)]
-    closest = _kernels.pairwise_sqdist(X, centers[:1]).ravel()
+    closest = distances_to(0).copy()
     for b in range(1, B):
         total = closest.sum()
         if total <= 0.0:
@@ -60,42 +70,55 @@ def _kmeanspp_seed(X, B, rng):
             continue
         probs = closest / total
         centers[b] = X[rng.choice(N, p=probs)]
-        d_new = _kernels.pairwise_sqdist(X, centers[b : b + 1]).ravel()
-        closest = np.minimum(closest, d_new)
+        np.minimum(closest, distances_to(b), out=closest)
     return centers
 
 
-def _lloyd(X, centers, max_iter):
+def _lloyd(X, x2, cols, centers, max_iter):
+    """Lloyd iterations from ``centers`` (updated in place) until the
+    assignment stops changing, then one final assignment.  ``x2`` holds the
+    points' squared norms and ``cols`` the columns of X, contiguous, for
+    the per-cluster sums; the (N, B) distance and scratch arrays are
+    allocated once and reused by every step."""
     N = X.shape[0]
     B = centers.shape[0]
+    D, G = np.empty((N, B)), np.empty((N, B))
+    sums = np.empty_like(centers)
     labels = np.full(N, -1, dtype=np.int64)
     for _ in range(max_iter):
-        new_labels, _ = _kernels.kmeans_assign(X, centers)
+        new_labels, _ = _kernels.kmeans_assign(X, centers, x2, D, G)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         counts = np.bincount(labels, minlength=B)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, X)
+        # point by point in index order from 0.0, as np.add.at would add them
+        for j, col in enumerate(cols):
+            sums[:, j] = np.bincount(labels, weights=col, minlength=B)
         nonempty = counts > 0
-        centers = centers.copy()
+        if nonempty.all():
+            np.divide(sums, counts[:, None], out=centers)
+            continue
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-        if not nonempty.all():
-            # re-seed each empty cluster at the point farthest from its center
-            dists = _kernels.pairwise_sqdist(X, centers)
-            own = dists[np.arange(N), labels].copy()
-            for b in np.flatnonzero(~nonempty):
-                far = int(np.argmax(own))
-                centers[b] = X[far]
-                own[far] = -1.0
-    labels, inertia = _kernels.kmeans_assign(X, centers)
-    return centers, labels, float(inertia)
+        # re-seed each empty cluster at the point farthest from its center
+        dists = _kernels.pairwise_sqdist(X, centers)
+        own = dists[np.arange(N), labels]
+        for b in np.flatnonzero(~nonempty):
+            far = int(np.argmax(own))
+            centers[b] = X[far]
+            own[far] = -1.0
+    labels, inertia = _kernels.kmeans_assign(X, centers, x2, D, G)
+    return centers, labels, inertia
 
 
 def kmeans_fit(X, B: int, cfg: KMeansConfig = KMeansConfig()) -> Centroids:
     """Fit B centroids: k-means++ init, up to cfg.n_init restarts keeping the
     lowest inertia, at most cfg.max_iter Lloyd iterations per restart,
     stopping when assignments stabilize.  Deterministic per cfg.seed.
+
+    The points' squared norms and a column-contiguous copy of X are made
+    once per fit and shared by every restart.  Each restart runs on its
+    own, all of X against its B centers, so every distance has the bits
+    of the one-shot formula.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -104,12 +127,14 @@ def kmeans_fit(X, B: int, cfg: KMeansConfig = KMeansConfig()) -> Centroids:
         raise ValueError("B must be >= 1")
     if X.shape[0] < B:
         raise ValueError(f"need at least B={B} points, got {X.shape[0]}")
+    x2 = np.sum(X * X, axis=1)
+    cols = X.T.copy()
     best = None
     best_inertia = np.inf
     for init in range(cfg.n_init):
         rng = np.random.default_rng((cfg.seed, init))
-        centers = _kmeanspp_seed(X, B, rng)
-        centers, _, inertia = _lloyd(X, centers, cfg.max_iter)
+        centers = _kmeanspp_seed(X, x2, B, rng)
+        centers, _, inertia = _lloyd(X, x2, cols, centers, cfg.max_iter)
         if inertia < best_inertia:
             best_inertia = inertia
             best = centers
@@ -125,10 +150,23 @@ def assign_topk_membership(X, centroids: Centroids, k: int) -> np.ndarray:
     if not 1 <= k <= centroids.B:
         raise ValueError(f"k must be in [1, {centroids.B}], got {k}")
     D = _kernels.pairwise_sqdist(X, centroids.C)
-    order = np.argsort(D, axis=1, kind="stable")
-    member = np.zeros((X.shape[0], centroids.B), dtype=bool)
-    rows = np.repeat(np.arange(X.shape[0]), k)
-    member[rows, order[:, :k].ravel()] = True
+    N = X.shape[0]
+    member = np.zeros((N, centroids.B), dtype=bool)
+    rows = np.arange(N)
+    # k passes of argmin, each masking the cell it took: a pass takes the
+    # lowest index among the row's smallest remaining distances, the order
+    # of a stable sort, while the distances it takes are finite
+    finite = True
+    for _ in range(k):
+        j = np.argmin(D, axis=1)
+        finite = finite and bool(np.isfinite(D[rows, j]).all())
+        member[rows, j] = True
+        D[rows, j] = np.inf
+    if not finite:  # an inf or nan distance: sort as the definition does
+        D = _kernels.pairwise_sqdist(X, centroids.C)
+        order = np.argsort(D, axis=1, kind="stable")
+        member[:] = False
+        member[np.repeat(rows, k), order[:, :k].ravel()] = True
     return member
 
 

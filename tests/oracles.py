@@ -351,3 +351,70 @@ def run_sweep_uncached(instances, methods, grids, windows, global_counts, global
                                               s_sum / count, r_sum / count))
     records.sort(key=lambda r: (r.method, _hp_text(r.hyperparams), r.layer, r.head))
     return records
+
+
+def kmeans_lloyd(X, B, n_init, max_iter, seed):
+    """Lloyd's k-means with k-means++ seeding, in the same operations and
+    generator calls as the package, from a one-shot distance formula
+    clamped at 0 and ``np.add.at`` cluster sums.
+
+    Each restart draws from ``np.random.default_rng((seed, init))``: one
+    ``integers(N)`` for the first center, then per next center
+    ``choice(N, p=d / d.sum())`` over each point's distance to its closest
+    center, or ``integers(N)`` when every distance is 0.  A Lloyd step
+    assigns each point to its nearest center (lowest index on ties); the
+    restart stops when the assignment repeats or after ``max_iter`` steps,
+    moves each center to the mean of its points, and re-seeds each empty
+    cluster, lowest index first, at the point farthest from its own
+    center.  A final assignment gives the inertia; the restart with the
+    lowest keeps its centers.  Returns (centers, Lloyd steps per restart),
+    a step being one assignment before the final one.
+    """
+    X = np.array(X, dtype=np.float64)
+    N = X.shape[0]
+
+    def sqdist(C):
+        x2 = np.sum(X * X, axis=1)
+        c2 = np.sum(C * C, axis=1)
+        return np.maximum(x2[:, None] + c2[None, :] - 2.0 * (X @ C.T), 0.0)
+
+    best, best_inertia, steps = None, np.inf, []
+    for init in range(n_init):
+        rng = np.random.default_rng((seed, init))
+        C = np.empty((B, X.shape[1]))
+        C[0] = X[rng.integers(N)]
+        closest = sqdist(C[:1])[:, 0]
+        for b in range(1, B):
+            if closest.sum() <= 0.0:
+                C[b] = X[rng.integers(N)]
+                continue
+            C[b] = X[rng.choice(N, p=closest / closest.sum())]
+            closest = np.minimum(closest, sqdist(C[b : b + 1])[:, 0])
+        labels = None
+        done = 0
+        while done < max_iter:
+            new = np.argmin(sqdist(C), axis=1)
+            done += 1
+            if labels is not None and np.array_equal(new, labels):
+                break
+            labels = new
+            counts = np.bincount(labels, minlength=B)
+            sums = np.zeros((B, X.shape[1]))
+            np.add.at(sums, labels, X)
+            C = C.copy()
+            for b in range(B):
+                if counts[b]:
+                    C[b] = sums[b] / counts[b]
+            if (counts == 0).any():
+                own = sqdist(C)[np.arange(N), labels]
+                for b in range(B):
+                    if not counts[b]:
+                        far = int(np.argmax(own))
+                        C[b] = X[far]
+                        own[far] = -1.0
+        steps.append(done)
+        D = sqdist(C)
+        inertia = float(D[np.arange(N), np.argmin(D, axis=1)].sum())
+        if inertia < best_inertia:
+            best, best_inertia = C, inertia
+    return best, steps

@@ -240,3 +240,44 @@ def test_prefix_solve_rows_of_32_cells_or_fewer():
         S[::3, ::2] = -np.inf
         S[5] = -np.inf
         _assert_prefix_solve_exact(S)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2048, 1), (128, 128), (2048, 32)])
+def test_pairwise_sqdist_is_the_one_shot_formula(n, m):
+    """``pairwise_sqdist`` (through ``sqdist_into``) is bit-equal to the
+    one-shot expression, with rows equal to centroids (distances at 0,
+    clamped) and rounded rows among them."""
+    rng = np.random.default_rng(n + m)
+    B = rng.normal(size=(m, 4))
+    A = rng.normal(size=(n, 4)) * 3.0
+    A[::3] = B[rng.integers(m, size=A[::3].shape[0])]
+    A[1::7] = np.round(A[1::7])
+    a2 = np.sum(A * A, axis=1)
+    b2 = np.sum(B * B, axis=1)
+    expected = np.maximum(a2[:, None] + b2[None, :] - 2.0 * (A @ B.T), 0.0)
+    assert np.array_equal(_kernels.pairwise_sqdist(A, B), expected)
+    D, G = np.empty((n, m)), np.empty((n, m))
+    unclamped = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
+    assert np.array_equal(_kernels.sqdist_into(A, a2, B, D, G), unclamped)
+
+
+def test_kmeans_assign_folds_the_clamp_into_the_argmin():
+    """Labels and inertia equal the argmin and sum of the clamped distances.
+    Centroid 5 is an ulp from centroid 2, so a point on either has
+    distances a few ulps either side of 0 in both columns, and on some
+    rows the unclamped argmin would take the later column."""
+    folded = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        C = rng.normal(size=(8, 3)) * 7.0
+        C[5] = np.nextafter(C[2], np.inf)
+        X = np.vstack([rng.normal(size=(200, 3)) * 7.0, C[rng.integers(8, size=300)]])
+        x2 = np.sum(X * X, axis=1)
+        D = _kernels.pairwise_sqdist(X, C)
+        expected = np.argmin(D, axis=1)
+        U, G = np.empty((500, 8)), np.empty((500, 8))
+        labels, inertia = _kernels.kmeans_assign(X, C, x2, U, G)
+        assert np.array_equal(labels, expected)
+        assert inertia == float(D[np.arange(500), expected].sum())
+        folded += np.count_nonzero(np.argmin(U, axis=1) != expected)
+    assert folded > 0

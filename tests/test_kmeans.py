@@ -1,8 +1,38 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparseattn import Centroids, KMeansConfig, kmeans_fit, load_centroids, save_centroids
+from oracles import kmeans_lloyd
+from sparseattn import (Centroids, KMeansConfig, _kernels, kmeans, kmeans_fit, load_centroids,
+                        save_centroids)
 from sparseattn.kmeans import assign_topk_membership
+
+
+def stable_sort_membership(D, k):
+    """Each row's first k cells in a stable sort of its distances."""
+    order = np.argsort(D, axis=1, kind="stable")[:, :k]
+    member = np.zeros(D.shape, dtype=bool)
+    member[np.repeat(np.arange(D.shape[0]), k), order.ravel()] = True
+    return member
+
+
+@st.composite
+def point_sets(draw):
+    """(X, B): few distinct rows, often repeated (empty clusters to re-seed),
+    either rounded (distances exactly 0 on a center) or not (distances to a
+    center a few ulps either side of 0, clamped)."""
+    r = draw(st.integers(1, 4))
+    distinct = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(distinct, r)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    if draw(st.booleans()):
+        rows = np.round(rows)
+    X = rows[rng.integers(distinct, size=draw(st.integers(distinct, 40)))]
+    B = draw(st.integers(1, X.shape[0]))
+    return X, B
 
 
 class TestKMeansFit:
@@ -50,6 +80,59 @@ class TestKMeansFit:
         assert np.all(np.isfinite(c.C))
 
 
+class TestKMeansOracle:
+    """``kmeans_fit`` against ``oracles.kmeans_lloyd``, bit for bit, and
+    one ``kmeans_assign`` call per Lloyd step plus one per restart (the
+    count the benchmark's trace reads its Lloyd steps from)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets(), st.sampled_from([1, 3]), st.sampled_from([1, 2, 300]),
+           st.integers(0, 3))
+    def test_centroids_bit_equal_to_oracle(self, data, n_init, max_iter, seed):
+        X, B = data
+        got = kmeans_fit(X, B, KMeansConfig(n_init=n_init, max_iter=max_iter, seed=seed)).C
+        assert np.array_equal(got, kmeans_lloyd(X, B, n_init, max_iter, seed)[0])
+
+    @pytest.mark.parametrize("B", [1, 2, 8, 30])
+    @pytest.mark.parametrize("max_iter", [1, 2, 300])
+    def test_edge_shapes_bit_equal_to_oracle(self, B, max_iter):
+        rng = np.random.default_rng(B)
+        X = rng.normal(size=(30, 3))
+        for pts in (X, np.round(X), np.tile(X[:5], (6, 1))):
+            got = kmeans_fit(pts, B, KMeansConfig(n_init=3, max_iter=max_iter, seed=B)).C
+            assert np.array_equal(got, kmeans_lloyd(pts, B, 3, max_iter, B)[0])
+
+    def test_empty_clusters_reseeded_like_the_oracle(self):
+        # 3 distinct points for 5 centers: k-means++ draws repeats, and a
+        # repeated center loses its points to the lower index
+        X = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]]), 4, axis=0)
+        for seed in range(6):
+            got = kmeans_fit(X, 5, KMeansConfig(n_init=2, seed=seed)).C
+            assert np.array_equal(got, kmeans_lloyd(X, 5, 2, 300, seed)[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_sets(), st.sampled_from([1, 3]), st.sampled_from([1, 2, 300]))
+    def test_one_assign_call_per_step_and_restart(self, data, n_init, max_iter):
+        X, B = data
+        calls, starts = [], []
+        assign, lloyd = _kernels.kmeans_assign, kmeans._lloyd
+
+        def counted_assign(*args):
+            calls.append(1)
+            return assign(*args)
+
+        def marked_lloyd(*args):
+            starts.append(len(calls))
+            return lloyd(*args)
+
+        with mock.patch.object(_kernels, "kmeans_assign", counted_assign), \
+                mock.patch.object(kmeans, "_lloyd", marked_lloyd):
+            kmeans_fit(X, B, KMeansConfig(n_init=n_init, max_iter=max_iter, seed=1))
+        per_restart = np.diff(starts + [len(calls)]).tolist()
+        steps = kmeans_lloyd(X, B, n_init, max_iter, 1)[1]
+        assert per_restart == [s + 1 for s in steps]
+
+
 class TestClusterAssign:
     """``assign_topk_membership``: each row's k closest centroids."""
 
@@ -78,6 +161,39 @@ class TestClusterAssign:
         c = Centroids(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
         member = assign_topk_membership(np.zeros((2, 2)), c, 2)
         np.testing.assert_array_equal(member, [[True, True, False, False]] * 2)
+
+    def test_tie_at_the_kth_distance_takes_the_lower_index(self):
+        # distances 4, 1, 4, 100: nearest 1, then 0 and 2 tie
+        c = Centroids(np.array([[0.0, 2.0], [0.0, 1.0], [2.0, 0.0], [10.0, 0.0]]))
+        X = np.zeros((1, 2))
+        np.testing.assert_array_equal(assign_topk_membership(X, c, 2), [[True, True, False, False]])
+        np.testing.assert_array_equal(assign_topk_membership(X, c, 3), [[True, True, True, False]])
+        # distances 181, 9, 9, 0: nearest 3, then 1 and 2 tie
+        c = Centroids(np.array([[0.0, 9.0], [10.0, 3.0], [13.0, 0.0], [10.0, 0.0]]))
+        X = np.array([[10.0, 0.0]])
+        np.testing.assert_array_equal(assign_topk_membership(X, c, 2), [[False, True, False, True]])
+        np.testing.assert_array_equal(assign_topk_membership(X, c, 3), [[False, True, True, True]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 10), st.integers(0, 2**32 - 1), st.data())
+    def test_tie_heavy_rows_match_stable_sort(self, N, B, seed, data):
+        rng = np.random.default_rng(seed)
+        C = np.round(rng.normal(size=(B, 2)))
+        X = np.round(rng.normal(size=(N, 2)))
+        k = data.draw(st.integers(1, B))
+        np.testing.assert_array_equal(assign_topk_membership(X, Centroids(C), k),
+                                      stable_sort_membership(_kernels.pairwise_sqdist(X, C), k))
+
+    def test_overflowing_distances_order_as_stable_sort(self):
+        # inf and nan distances: nan sorts last, equal infs by index
+        c = Centroids(np.array([[1.0, 0.0], [-1e200, 0.0], [0.0, 1.0], [1e200, 1e200]]))
+        X = np.array([[1e200, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = _kernels.pairwise_sqdist(X, c.C)
+            assert not np.isfinite(D).all()
+            for k in range(1, 5):
+                np.testing.assert_array_equal(assign_topk_membership(X, c, k),
+                                              stable_sort_membership(D, k))
 
     def test_k_out_of_range(self):
         c = Centroids(np.zeros((3, 2)))
