@@ -8,9 +8,11 @@ package calls them through this module so that each has exactly one
 implementation; ``solve_rows`` holds the package's only alpha dispatch and
 ``sqdist_into`` the only distance formula.
 
-The distance kernels take their operands' squared norms and (n, m) output
-and scratch arrays from the caller, so a k-means fit computes the points'
-norms once and reuses two arrays across all the Lloyd steps of a restart.
+``sqdist_into`` and ``kmeans_assign`` take their operands' squared norms
+and (n, m) output and scratch arrays from the caller, so a k-means fit
+computes the points' norms once and reuses two arrays across all the Lloyd
+steps of a restart; ``pairwise_sqdist`` computes its own norms and
+allocates its own arrays.
 """
 
 import numpy as np

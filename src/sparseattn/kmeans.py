@@ -95,17 +95,15 @@ def _lloyd(X, x2, cols, centers, max_iter):
         for j, col in enumerate(cols):
             sums[:, j] = np.bincount(labels, weights=col, minlength=B)
         nonempty = counts > 0
-        if nonempty.all():
-            np.divide(sums, counts[:, None], out=centers)
-            continue
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-        # re-seed each empty cluster at the point farthest from its center
-        dists = _kernels.pairwise_sqdist(X, centers)
-        own = dists[np.arange(N), labels]
-        for b in np.flatnonzero(~nonempty):
-            far = int(np.argmax(own))
-            centers[b] = X[far]
-            own[far] = -1.0
+        if not nonempty.all():
+            # re-seed each empty cluster at the point farthest from its center
+            dists = _kernels.pairwise_sqdist(X, centers)
+            own = dists[np.arange(N), labels]
+            for b in np.flatnonzero(~nonempty):
+                far = int(np.argmax(own))
+                centers[b] = X[far]
+                own[far] = -1.0
     labels, inertia = _kernels.kmeans_assign(X, centers, x2, D, G)
     return centers, labels, inertia
 
