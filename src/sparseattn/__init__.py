@@ -11,7 +11,6 @@ from ._kernels import backend
 from .blocks import (
     BenchRecord,
     BlockBudget,
-    ChunkedGraph,
     audit_sparse_attention,
     bench_masked_attention,
     chunk_labels,
@@ -31,7 +30,6 @@ from .entmax import (
     EntmaxParams,
     audit_sparse_consistency,
     entmax,
-    entmax_tau,
     masked_entmax,
     support,
 )
@@ -68,8 +66,6 @@ from .projection import (
     TrainConfig,
     build_pair_dataset,
     draw_negatives,
-    hinge_grad,
-    hinge_loss,
     load_head,
     project_rows,
     save_head,
@@ -77,7 +73,6 @@ from .projection import (
 )
 from .sweep import (
     PatternGrid,
-    ParetoPoint,
     SweepArtifacts,
     SweepRecord,
     aggregate_records,

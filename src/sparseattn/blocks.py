@@ -59,43 +59,16 @@ class BlockBudget:
             raise ValueError(f"variant must be 'v1' or 'v2', got {self.variant!r}")
 
 
-@dataclass(frozen=True)
-class ChunkedGraph:
-    """Block-level edge set for block size z."""
-
-    z: int
-    blocks: AttentionGraph
-
-    def __post_init__(self):
-        if self.z < 1:
-            raise ValueError("block size z must be >= 1")
-
-    @property
-    def n_blocks(self) -> int:
-        return self.blocks.n
-
-    @property
-    def m_blocks(self) -> int:
-        return self.blocks.m
-
-    @property
-    def causal(self) -> bool:
-        return self.blocks.causal
-
-
 def _nblocks(n: int, z: int) -> int:
     return -(-n // z)
 
 
-def chunk_labels(gold: AttentionGraph, z: int) -> ChunkedGraph:
+def chunk_labels(gold: AttentionGraph, z: int) -> AttentionGraph:
     """Block edge (bi, bj) iff some gold token edge falls inside the block."""
     if z < 1:
         raise ValueError("block size z must be >= 1")
-    edges = gold.edges // z
-    blocks = AttentionGraph(
-        _nblocks(gold.n, z), _nblocks(gold.m, z), edges, causal=gold.causal
-    )
-    return ChunkedGraph(z, blocks)
+    return AttentionGraph(_nblocks(gold.n, z), _nblocks(gold.m, z), gold.edges // z,
+                          causal=gold.causal)
 
 
 def chunk_means(X, z: int) -> np.ndarray:
@@ -114,9 +87,7 @@ def chunk_means(X, z: int) -> np.ndarray:
     return out
 
 
-def select_blocks_v1(
-    Qb, Kb, budget: BlockBudget, causal: bool = False, z: int = 1
-) -> ChunkedGraph:
+def select_blocks_v1(Qb, Kb, budget: BlockBudget, causal: bool = False) -> AttentionGraph:
     """Per query block, the top_k_blocks key blocks by largest dot-product.
 
     Ties go to the lower block index; the cap is clamped to the number of
@@ -129,22 +100,22 @@ def select_blocks_v1(
     edges = [(i, j) for i in range(nb)
              for j in np.argsort(-scores[i, : min(i + 1, mb) if causal else mb],
                                  kind="stable")[: budget.top_k_blocks]]
-    return ChunkedGraph(z, AttentionGraph(nb, mb, edges, causal=causal))
+    return AttentionGraph(nb, mb, edges, causal=causal)
 
 
-def expand_blocks(cg: ChunkedGraph, n: int, m: int) -> AttentionGraph:
-    """Token graph with edge (i, j) iff block (i//z, j//z) is selected.
+def expand_blocks(blocks: AttentionGraph, z: int, n: int, m: int) -> AttentionGraph:
+    """Token graph with edge (i, j) iff block (i//z, j//z) of the block graph
+    of block size z is selected.
 
     Padding positions beyond n or m are dropped and the causal token filter
     is reapplied.
     """
-    if _nblocks(n, cg.z) != cg.n_blocks or _nblocks(m, cg.z) != cg.m_blocks:
-        raise ValueError(
-            f"{n}x{m} tokens with z={cg.z} does not match "
-            f"{cg.n_blocks}x{cg.m_blocks} blocks"
-        )
-    lin = cg.blocks._lin
-    return _block_pairs_graph(n, m, lin // cg.m_blocks, lin % cg.m_blocks, cg.z, cg.causal)
+    if z < 1:
+        raise ValueError("block size z must be >= 1")
+    if _nblocks(n, z) != blocks.n or _nblocks(m, z) != blocks.m:
+        raise ValueError(f"{n}x{m} tokens with z={z} does not match {blocks.n}x{blocks.m} blocks")
+    lin = blocks._lin
+    return _block_pairs_graph(n, m, lin // blocks.m, lin % blocks.m, z, blocks.causal)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +343,7 @@ def bench_masked_attention(
     records = []
     for z in z_list:
         block_sm = ScoreMatrix(chunk_means(sm.Q, z), chunk_means(sm.K, z), causal=causal)
-        ds = build_pair_dataset([block_sm], [chunk_labels(gold, z).blocks], rng_seed=seed,
-                                min_len=1)
+        ds = build_pair_dataset([block_sm], [chunk_labels(gold, z)], rng_seed=seed, min_len=1)
         head = train_projection(ds, TrainConfig(rng_seed=seed), r=min(4, d - 1))
         if any(budget.variant == "v2" for budget in budgets):
             pooled = np.vstack([project_rows(head, block_sm.Q), project_rows(head, block_sm.K)])
@@ -384,14 +354,14 @@ def bench_masked_attention(
                 Qb = project_rows(head, chunk_means(sm.Q, z))
                 Kb = project_rows(head, chunk_means(sm.K, z))
                 if budget.variant == "v1":
-                    cg = select_blocks_v1(Qb, Kb, budget, causal=causal, z=z)
+                    blocks = select_blocks_v1(Qb, Kb, budget, causal=causal)
                 else:
                     qa, ka = cluster_qk(Qb, Kb, centroids, budget.top_k_blocks)
-                    cg = ChunkedGraph(z, buckets_to_graph(qa, ka, causal=causal))
-                graph = combine_with_patterns(expand_blocks(cg, n, n), pattern)
-                return cg, graph, sparse_attention_probs(sm, graph, params)
+                    blocks = buckets_to_graph(qa, ka, causal=causal)
+                graph = combine_with_patterns(expand_blocks(blocks, z, n, n), pattern)
+                return blocks, graph, sparse_attention_probs(sm, graph, params)
 
-            block_med, block_iqr, (cg, graph, _) = _time_ms(predicted, repeats)
+            block_med, block_iqr, (blocks, graph, _) = _time_ms(predicted, repeats)
             records.append(BenchRecord(
                 variant=budget.variant,
                 n=n,
@@ -407,7 +377,7 @@ def bench_masked_attention(
                 flops_block=graph_score_flops(graph, d),
                 recall=recall(graph, gold),
                 sparsity=sparsity(graph),
-                selected_blocks=cg.blocks.edge_count,
+                selected_blocks=blocks.edge_count,
             ))
     return records
 

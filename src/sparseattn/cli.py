@@ -37,17 +37,15 @@ from .kmeans import KMeansConfig, kmeans_fit, load_centroids, save_centroids
 from .predictors import PatternConfig
 from .projection import TrainConfig, build_pair_dataset, load_head, project_rows, save_head, train_projection
 from .sweep import (
-    DEFAULT_GRIDS,
-    _CENTROID_GRID_KEY,
-    _NEEDS_PROJECTION,
+    METHODS,
     PatternGrid,
     SweepArtifacts,
-    _validate_grids,
     check_value,
     per_method_frontiers,
     read_sweep_csv,
     report,
     run_sweep,
+    validate_grids,
     write_pareto_csv,
 )
 
@@ -73,8 +71,10 @@ KEYS = {
     "r": (int, 4), "min_len": (int, 21),
     **_rows(KMeansConfig, "kmeans_", skip={"seed"}),
     "kmeans_sample": (int, 0),  # 0: every point
-    "B_list": ([int], tuple(sorted({*DEFAULT_GRIDS["clustering"]["B"], *DEFAULT_GRIDS["routing"]["c"]}))),
-    "methods": ([str], tuple(DEFAULT_GRIDS)),
+    # every centroid count of the default grids
+    "B_list": ([int], tuple(sorted({B for spec in METHODS.values() if spec.centroids
+                                    for B in spec.grid[spec.centroids][-1]}))),
+    "methods": ([str], tuple(METHODS)),
     "grids": (dict, {}),
     "windows": ([int], PatternGrid.windows),
     "global_counts": ([int], PatternGrid.global_counts),
@@ -128,7 +128,7 @@ def _common(args) -> Config:
     if 0 < cfg.kmeans_sample < max(cfg.B_list):
         raise ConfigError(f"kmeans_sample must be 0 (every point) or at least the largest B "
                           f"of B_list, {max(cfg.B_list)}, got {cfg.kmeans_sample}")
-    _validate_grids(cfg.methods, cfg.grids)
+    validate_grids(cfg.methods, cfg.grids)
     PatternGrid(cfg.windows, cfg.global_counts, cfg.global_mode)
     check_bench_budgets(cfg.bench_n, cfg.z_list, _bench_budgets(cfg))
     PatternConfig(window=cfg.bench_window)
@@ -295,11 +295,11 @@ def cmd_sweep(args) -> int:
             f"gold graphs were extracted at alpha {meta.get('alpha')}, the sweep runs at "
             f"alpha {cfg.alpha}; re-run 'extract' with --alpha {cfg.alpha}"
         )
-    methods = set(cfg.methods)  # load only what a swept method uses
+    swept = [METHODS[method] for method in cfg.methods]  # load only what a swept method uses
     heads = (_load_dir(cfg.proj, _PROJ_RE, load_head, "train-proj")
-             if methods & _NEEDS_PROJECTION else {})
+             if any(spec.projects for spec in swept) else {})
     centroids = (_load_dir(cfg.kmeans, _KMEANS_RE, load_centroids, "fit-kmeans")
-                 if methods & _CENTROID_GRID_KEY.keys() else {})
+                 if any(spec.centroids for spec in swept) else {})
     records = run_sweep(
         mats, cfg.methods, grids=cfg.grids, pattern_grid=pattern_grid,
         artifacts=SweepArtifacts(heads, centroids), alpha=cfg.alpha, seed=cfg.seed,

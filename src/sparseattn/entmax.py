@@ -49,18 +49,6 @@ def entmax(z, params: EntmaxParams = DEFAULT_PARAMS) -> np.ndarray:
     return _kernels.solve_rows(_as_scores(z)[None, :], params.alpha)[0][0]
 
 
-def entmax_tau(z, params: EntmaxParams = DEFAULT_PARAMS) -> float:
-    """The threshold tau(z) with sum_j [(alpha-1) z_j - tau]_+^(1/(alpha-1)) = 1.
-
-    Undefined for alpha = 1 (softmax has full support and no finite
-    threshold), which raises ValueError.
-    """
-    z = _as_scores(z)
-    if params.alpha == 1.0:
-        raise ValueError("tau is undefined for alpha = 1 (softmax)")
-    return float(_kernels.solve_rows(z[None, :], params.alpha)[1][0])
-
-
 def _as_mask(mask, n) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (n,):

@@ -44,10 +44,6 @@ class ProjectionHead:
     def d(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def param_count(self) -> int:
-        return self.W.size + self.b.size
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -178,32 +174,17 @@ def _slack(q_proj, k_pos, k_neg, margin):
     return margin + np.einsum("ij,ij->i", dp, dp) - np.einsum("ij,ij->i", dn, dn), dp, dn
 
 
-def hinge_loss(q_proj, k_pos, k_neg, margin: float = 1.0) -> np.ndarray:
-    """Per-row max(0, margin + ||q' - k'_P||^2 - ||q' - k'_N||^2) of (B, r)
-    projected queries, positive keys and negative keys."""
-    rows = [np.asarray(a, dtype=np.float64) for a in (q_proj, k_pos, k_neg)]
-    return np.maximum(_slack(*rows, margin)[0], 0.0)
-
-
 def _hinge(W, X, margin):
     """Per-row hinge losses of the (q, k_pos, k_neg) blocks stacked in the
     (3B, d) matrix X, and their summed gradient w.r.t. W.  The bias drops out
-    of every distance, so its gradient is exactly zero and it is left out."""
+    of every distance, so its gradient is exactly zero and it is left out.
+    With W the identity, X holds projected rows and the losses are theirs."""
     P = X @ W.T
     B = P.shape[0] // 3
     slack, dp, dn = _slack(P[:B], P[B : 2 * B], P[2 * B :], margin)
     # d loss / d (q', k'_P, k'_N), with the zero subgradient on the flat side
     G = np.stack([dp - dn, -dp, dn]) * (2.0 * (slack > 0.0))[None, :, None]
     return np.maximum(slack, 0.0), G.reshape(3 * B, -1).T @ X
-
-
-def hinge_grad(head: ProjectionHead, q, k_pos, k_neg, margin: float = 1.0) -> np.ndarray:
-    """Gradient w.r.t. W of the hinge losses of B (q, k_pos, k_neg) rows,
-    summed over the rows, through the shared projection.  (B, d) inputs;
-    on the flat side of the hinge (loss == 0) the zero subgradient is used.
-    The gradient w.r.t. b is identically zero."""
-    X = np.concatenate([np.asarray(a, dtype=np.float64) for a in (q, k_pos, k_neg)])
-    return _hinge(head.W, X, margin)[1]
 
 
 def train_projection(

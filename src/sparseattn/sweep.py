@@ -40,7 +40,6 @@ import numpy as np
 from .entmax import EntmaxParams
 from .errors import ConfigError
 from .graph import admissible_count, extract_graph, sparsity
-from .kmeans import Centroids
 from .predictors import (
     PatternConfig,
     bigbird_random_blocks,
@@ -54,45 +53,69 @@ from .predictors import (
 )
 from .projection import ProjectionHead, project_rows
 
-METHODS = (
-    "window",
-    "distance",
-    "quantization",
-    "clustering",
-    "routing",
-    "lsh",
-    "bigbird",
-    "longformer",
-)
 
-_NEEDS_PROJECTION = {"distance", "quantization", "clustering", "routing", "lsh"}
+class Method(NamedTuple):
+    """One predictor as the sweep runs it.
 
-# methods whose prediction draws from the per-(cell, instance) RNG
-_DRAWS = {"lsh", "bigbird"}
+    ``grid`` maps each parameter to its element kind, least value and
+    default values.  ``predict(params, sm, Qp, Kp, centroids, rng)`` is the
+    learned graph of one instance, None for a pattern-only method.
+    ``projects``: it predicts from the projected Q and K.  ``centroids``:
+    the grid key that names the centroid count B.  ``draws``: it draws from
+    the per-(cell, instance) RNG.
+    """
 
-# grid parameter that names the centroid count B of a centroid-based method
-_CENTROID_GRID_KEY = {"clustering": "B", "routing": "c"}
+    grid: dict
+    predict: object = None
+    projects: bool = False
+    centroids: str = None
+    draws: bool = False
 
-DEFAULT_GRIDS = {
-    "distance": {"t": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]},
-    "quantization": {"beta": [1, 2, 3, 4, 5]},
-    "clustering": {"B": [2, 4, 6, 8, 10, 12, 16, 20], "k": [1, 2]},
-    "window": {},
-    "bigbird": {"num_blocks": [2, 4, 6, 8, 10, 12, 16, 20]},
-    "longformer": {"num_globals": [2, 4, 6, 8, 10, 12, 16, 20]},
-    "lsh": {"num_buckets": [2, 4, 6, 8, 10, 12], "rounds": [1]},
-    "routing": {"c": [2, 4, 6, 8, 10]},
-}
 
-# the element kind and least value of each grid parameter
-_GRID_VALUES = {
-    "t": (float, 0), "beta": (int, 1), "B": (int, 1), "k": (int, 1), "num_blocks": (int, 0),
-    "num_globals": (int, 0), "num_buckets": (int, 1), "rounds": (int, 1), "c": (int, 1),
+def _routing(params, sm, Qp, Kp, centroids, rng):
+    topk = -(-sm.n // int(params["c"]))  # balanced: ceil(n / c) per centroid
+    return buckets_to_graph(routing_assign(Qp, centroids, min(topk, sm.n)),
+                            routing_assign(Kp, centroids, min(topk, sm.m)), causal=sm.causal)
+
+
+def _lsh(params, sm, Qp, Kp, centroids, rng):
+    seed = int(rng.integers(2**63))  # one hash seed, shared by the Q and K hashes
+    qa, ka = (lsh_assign(X, params["rounds"], params["num_buckets"], seed=seed) for X in (Qp, Kp))
+    return buckets_to_graph(qa, ka, causal=sm.causal)
+
+
+# every predictor of the sweep, in the order of the CLI's default and of messages
+METHODS = {
+    "window": Method({}),
+    "distance": Method(
+        {"t": (float, 0, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0])},
+        lambda p, sm, Qp, Kp, C, rng: distance_pairing(Qp, Kp, p["t"], causal=sm.causal),
+        projects=True),
+    "quantization": Method(
+        {"beta": (int, 1, [1, 2, 3, 4, 5])},
+        lambda p, sm, Qp, Kp, C, rng: buckets_to_graph(*quantize_qk(Qp, Kp, p["beta"]),
+                                                       causal=sm.causal),
+        projects=True),
+    "clustering": Method(
+        {"B": (int, 1, [2, 4, 6, 8, 10, 12, 16, 20]), "k": (int, 1, [1, 2])},
+        lambda p, sm, Qp, Kp, C, rng: buckets_to_graph(*cluster_qk(Qp, Kp, C, p["k"]),
+                                                       causal=sm.causal),
+        projects=True, centroids="B"),
+    "routing": Method({"c": (int, 1, [2, 4, 6, 8, 10])}, _routing, projects=True, centroids="c"),
+    "lsh": Method({"num_buckets": (int, 1, [2, 4, 6, 8, 10, 12]), "rounds": (int, 1, [1])}, _lsh,
+                  projects=True, draws=True),
+    "bigbird": Method(
+        {"num_blocks": (int, 0, [2, 4, 6, 8, 10, 12, 16, 20])},
+        lambda p, sm, Qp, Kp, C, rng: bigbird_random_blocks(
+            sm.n, sm.m, p["num_blocks"], block_size=1, seed=int(rng.integers(2**63)),
+            causal=sm.causal),
+        draws=True),
+    "longformer": Method({"num_globals": (int, 0, [2, 4, 6, 8, 10, 12, 16, 20])}),
 }
 
 DEFAULT_WINDOWS = (0, 1, 3, 5, 7, 9, 11, 15, 19, 23, 27)
 
-SWEEP_CSV_COLUMNS = ["method", "hyperparams", "layer", "head", "sparsity", "recall", "runtime_ms"]
+SWEEP_CSV_COLUMNS = ["method", "hyperparams", "layer", "head", "sparsity", "recall"]
 PARETO_CSV_COLUMNS = ["method", "hyperparams", "sparsity", "recall"]
 
 
@@ -104,17 +127,10 @@ class SweepRecord:
     head: int
     sparsity: float
     recall: float
-    runtime_ms: float = None
 
     def __post_init__(self):
         if not (0.0 <= self.sparsity <= 1.0 and 0.0 <= self.recall <= 1.0):
             raise ValueError("sparsity and recall must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    sparsity: float
-    recall: float
 
 
 def check_value(name, value, kind, least=None):
@@ -170,27 +186,29 @@ class SweepArtifacts:
 
 def _grid_for(method: str, grids: dict) -> dict:
     """User grid for a method, with defaults filling any missing parameter."""
-    return {**DEFAULT_GRIDS[method], **grids.get(method, {})}
+    defaults = {name: values for name, (*_, values) in METHODS[method].grid.items()}
+    return {**defaults, **grids.get(method, {})}
 
 
-def _validate_grids(methods, grids):
+def validate_grids(methods, grids):
     """ConfigError unless the methods are known and distinct, every grid
     names a known method, only parameters of that method, and for each a
     non-empty list of distinct values of the parameter's type and range,
     and no clustering k exceeds the smallest B."""
     for method in check_value("methods", methods, [str]):
         if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+            raise ConfigError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
     for method, grid in check_value("grids", grids, dict).items():
         if method not in METHODS:
-            raise ConfigError(f"grid for unknown method {method!r}; choose from {METHODS}")
+            raise ConfigError(f"grid for unknown method {method!r}; choose from {tuple(METHODS)}")
+        params = METHODS[method].grid
         for name, values in check_value(f"grid {method}", grid, dict).items():
-            if name not in DEFAULT_GRIDS[method]:
+            if name not in params:
                 raise ConfigError(
                     f"method {method!r} has no parameter {name!r}; "
-                    f"its parameters are {sorted(DEFAULT_GRIDS[method])}"
+                    f"its parameters are {sorted(params)}"
                 )
-            kind, least = _GRID_VALUES[name]
+            kind, least, _ = params[name]
             check_value(f"grid {method}.{name}", values, [kind], least)
     clustering = _grid_for("clustering", grids)
     if max(clustering["k"]) > min(clustering["B"]):
@@ -229,8 +247,8 @@ def _validate_artifacts(instances, methods, grids, artifacts: SweepArtifacts):
     keys = sorted({(sm.layer, sm.head) for sm in instances})
     dims = {(sm.layer, sm.head): sm.d for sm in instances}
     for method in methods:
-        grid = _grid_for(method, grids)
-        if method in _NEEDS_PROJECTION:
+        spec = METHODS[method]
+        if spec.projects:
             for key in keys:
                 if key not in artifacts.heads:
                     raise ConfigError(
@@ -241,8 +259,8 @@ def _validate_artifacts(instances, methods, grids, artifacts: SweepArtifacts):
                         f"projection for layer/head {key} expects d={artifacts.heads[key].d}, "
                         f"data has d={dims[key]}"
                     )
-        if method in _CENTROID_GRID_KEY:
-            for B in grid[_CENTROID_GRID_KEY[method]]:
+        if spec.centroids:
+            for B in _grid_for(method, grids)[spec.centroids]:
                 for key in keys:
                     if key + (int(B),) not in artifacts.centroids:
                         raise ConfigError(
@@ -348,50 +366,25 @@ class _SweepState:
 
 
 def _predict(method, params, sm, artifacts, proj, rng):
-    """The learned graph of one instance, or None for the pattern-only
-    methods (window, longformer).  Only the methods in ``_DRAWS`` use
-    ``rng``."""
-    key = (sm.layer, sm.head)
-    if method in _NEEDS_PROJECTION:
-        Qp, Kp = proj
-    if method == "window" or method == "longformer":
+    """The learned graph of one instance, or None for a pattern-only method."""
+    spec = METHODS[method]
+    if spec.predict is None:
         return None
-    if method == "distance":
-        return distance_pairing(Qp, Kp, params["t"], causal=sm.causal)
-    if method == "quantization":
-        qa, ka = quantize_qk(Qp, Kp, params["beta"])
-        return buckets_to_graph(qa, ka, causal=sm.causal)
-    if method == "clustering":
-        centroids: Centroids = artifacts.centroids[key + (int(params["B"]),)]
-        qa, ka = cluster_qk(Qp, Kp, centroids, params["k"])
-        return buckets_to_graph(qa, ka, causal=sm.causal)
-    if method == "routing":
-        centroids = artifacts.centroids[key + (int(params["c"]),)]
-        topk = -(-sm.n // int(params["c"]))  # balanced: ceil(n / c) per centroid
-        qa = routing_assign(Qp, centroids, min(topk, sm.n))
-        ka = routing_assign(Kp, centroids, min(topk, sm.m))
-        return buckets_to_graph(qa, ka, causal=sm.causal)
-    if method == "lsh":
-        hash_seed = int(rng.integers(2**63))
-        qa = lsh_assign(Qp, params["rounds"], params["num_buckets"], seed=hash_seed)
-        ka = lsh_assign(Kp, params["rounds"], params["num_buckets"], seed=hash_seed)
-        return buckets_to_graph(qa, ka, causal=sm.causal)
-    if method == "bigbird":
-        return bigbird_random_blocks(
-            sm.n, sm.m, params["num_blocks"], block_size=1,
-            seed=int(rng.integers(2**63)), causal=sm.causal,
-        )
-    raise ConfigError(f"unknown method {method!r}")
+    Qp, Kp = proj if spec.projects else (None, None)
+    centroids = (artifacts.centroids[(sm.layer, sm.head, int(params[spec.centroids]))]
+                 if spec.centroids else None)
+    return spec.predict(params, sm, Qp, Kp, centroids, rng)
 
 
 def _eval_group(group, state: _SweepState):
     """Records of every cell of one (method, params) group.
 
     The group's cells are its pattern points (window, global count).  Each
-    instance is visited once, and a method outside ``_DRAWS`` predicts its
+    instance is visited once, and a method that draws nothing predicts its
     learned graph there once for all of the points.
     """
     method, params = group
+    draws = METHODS[method].draws
     grid = state.pattern_grid
     # longformer's own hyperparameter is the global-token count
     g_axis = (0,) if method == "longformer" else grid.global_counts
@@ -406,7 +399,7 @@ def _eval_group(group, state: _SweepState):
     for idx, (sm, gold, gold_mask) in enumerate(zip(state.instances, state.golds,
                                                      state.gold_masks)):
         proj = state.projections[idx]
-        if method not in _DRAWS:
+        if not draws:
             learned = _learned(_predict(method, params, sm, state.artifacts, proj, None), gold_mask)
         limit = min(sm.n, sm.m)
         for w, g_count, crc, _, sums in cells:
@@ -414,7 +407,7 @@ def _eval_group(group, state: _SweepState):
             random_globals = g_count > 0 and grid.global_mode == "random"
             # the per-(cell, instance) generator, made only where it is drawn from
             rng = None
-            if random_globals or method in _DRAWS:
+            if random_globals or draws:
                 rng = np.random.default_rng((state.seed, crc, idx))
             if random_globals:  # drawn per (cell, instance): nothing to share
                 globals_ = tuple(int(t) for t in rng.choice(limit, size=take, replace=False))
@@ -422,7 +415,7 @@ def _eval_group(group, state: _SweepState):
                 pattern = _pattern(_mask(graph), graph.edge_count, gold_mask)
             else:
                 pattern = state.pattern(PatternConfig(w, tuple(range(take)), sm.causal), idx)
-            if method in _DRAWS:
+            if draws:
                 learned = _learned(_predict(method, params, sm, state.artifacts, proj, rng),
                                    gold_mask)
             s, r = _union_scores(learned, pattern, gold)
@@ -475,14 +468,14 @@ def run_sweep(
         raise ConfigError("no instances to sweep")
     grids = {} if grids is None else grids
     methods = list(methods)
-    _validate_grids(methods, grids)
+    validate_grids(methods, grids)
     artifacts = artifacts or SweepArtifacts()
     _validate_artifacts(instances, methods, grids, artifacts)
     groups = _build_groups(methods, grids)
     params = EntmaxParams(alpha=alpha)
     golds = [extract_graph(sm, params) for sm in instances]
     gold_masks = [_mask(gold) for gold in golds]
-    if _NEEDS_PROJECTION.intersection(methods):
+    if any(METHODS[method].projects for method in methods):
         projections = []
         for sm in instances:
             head: ProjectionHead = artifacts.heads[(sm.layer, sm.head)]
@@ -581,7 +574,6 @@ def write_sweep_csv(records, path):
             writer.writerow([
                 rec.method, _hp_str(rec.hyperparams), rec.layer, rec.head,
                 _fmt(rec.sparsity), _fmt(rec.recall),
-                "" if rec.runtime_ms is None else _fmt(rec.runtime_ms),
             ])
 
 
@@ -621,7 +613,6 @@ def read_sweep_csv(path):
                     head=int(row[3]),
                     sparsity=float(row[4]),
                     recall=float(row[5]),
-                    runtime_ms=None if row[6] == "" else float(row[6]),
                 )
             )
     return records

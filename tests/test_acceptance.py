@@ -16,10 +16,10 @@ from sparseattn import (
     BlockBudget,
     EntmaxParams,
     KMeansConfig,
-    ParetoPoint,
     PatternGrid,
     ProjectionHead,
     SweepArtifacts,
+    SweepRecord,
     SyntheticSpec,
     attention_probs,
     audit_sparse_consistency,
@@ -34,8 +34,6 @@ from sparseattn import (
     expand_blocks,
     extract_graph,
     generate_instances,
-    hinge_grad,
-    hinge_loss,
     kmeans_fit,
     pareto_frontier,
     PatternConfig,
@@ -49,7 +47,7 @@ from sparseattn import (
     buckets_to_graph,
     chunk_means,
 )
-from sparseattn.projection import TrainConfig
+from sparseattn.projection import TrainConfig, _hinge
 
 from oracles import central_difference_grad, entmax_bisect, pareto_brute_force
 from test_projection import two_blob_dataset
@@ -166,11 +164,13 @@ def test_criterion_04_gradient_check():
         if np.any(np.abs(slack) <= 1e-3):
             continue
         checked += 1
-        gW = hinge_grad(head, q, kp, kn, margin)
+        gW = _hinge(W, np.concatenate([q, kp, kn]), margin)[1]
 
         def loss_of(Wx):
             hx = ProjectionHead(Wx, b)
-            return float(hinge_loss(*(project_rows(hx, X) for X in (q, kp, kn)), margin).sum())
+            qx, px, nx = (project_rows(hx, X) for X in (q, kp, kn))
+            slack = margin + np.sum((qx - px) ** 2, axis=1) - np.sum((qx - nx) ** 2, axis=1)
+            return float(np.maximum(slack, 0.0).sum())
 
         num = central_difference_grad(loss_of, W, h=1e-5)
         denom = np.maximum(1.0, np.maximum(np.abs(gW), np.abs(num)))
@@ -268,7 +268,7 @@ def test_criterion_08_block_coverage(causal_heads):
     mats, golds, _ = causal_heads
     for sm, gold in zip(mats, golds):
         for z in (1, 2, 4, 8):
-            expanded = expand_blocks(chunk_labels(gold, z), sm.n, sm.m)
+            expanded = expand_blocks(chunk_labels(gold, z), z, sm.n, sm.m)
             assert recall(expanded, gold) == 1.0
     _ok(8, "chunk labeling covers every gold edge for z in {1, 2, 4, 8} on 50 heads")
 
@@ -277,7 +277,7 @@ def test_criterion_09_frontier_matches_brute_force():
     rng = np.random.default_rng(9)
     for _ in range(100):
         pts = [
-            ParetoPoint(float(s), float(np.round(r, 2)))
+            SweepRecord("m", {}, 0, 0, float(s), float(np.round(r, 2)))
             for s, r in rng.random((int(rng.integers(1, 201)), 2))
         ]
         got = sorted((p.sparsity, p.recall) for p in pareto_frontier(pts))
@@ -338,7 +338,7 @@ def test_criterion_11_block_benchmark_sanity():
     sm = ScoreMatrix(rng.normal(size=(512, 64)), rng.normal(size=(512, 64)))
     Qb = chunk_means(sm.Q, 16)
     Kb = chunk_means(sm.K, 16)
-    full = expand_blocks(select_blocks_v1(Qb, Kb, BlockBudget(32, "v1"), z=16), 512, 512)
+    full = expand_blocks(select_blocks_v1(Qb, Kb, BlockBudget(32, "v1")), 16, 512, 512)
     assert full.edge_count == 512 * 512
     diff = np.max(np.abs(sparse_attention_probs(sm, full) - attention_probs(sm)))
     assert diff <= 1e-9

@@ -45,13 +45,13 @@ class TestChunkLabels:
     def test_z1_isomorphic(self):
         _, gold = random_gold()
         cg = chunk_labels(gold, 1)
-        assert cg.blocks == gold
+        assert cg == gold
 
     def test_single_block(self):
         _, gold = random_gold()
         cg = chunk_labels(gold, 16)
-        assert cg.n_blocks == 1 and cg.m_blocks == 1
-        assert cg.blocks.edge_count == 1
+        assert cg.n == 1 and cg.m == 1
+        assert cg.edge_count == 1
 
     def test_matches_any_token_oracle(self):
         _, gold = random_gold(seed=3)
@@ -67,7 +67,7 @@ class TestChunkLabels:
                 )
                 if hit:
                     expected.add((bi, bj))
-        assert cg.blocks.edge_set() == expected
+        assert cg.edge_set() == expected
 
     def test_causal_preserved(self):
         _, gold = random_gold(causal=True)
@@ -122,13 +122,13 @@ class TestSelectBlocks:
         Qb = rng.normal(size=(3, 2))
         Kb = rng.normal(size=(5, 2))
         cg = select_blocks_v1(Qb, Kb, BlockBudget(5, "v1"))
-        assert cg.blocks.edge_count == 15
+        assert cg.edge_count == 15
 
     def test_v1_dominant_match(self):
         Qb = np.eye(4)[:3] * 2.0
         Kb = np.eye(4)[:3] * 2.0
         cg = select_blocks_v1(Qb, Kb, BlockBudget(1, "v1"))
-        assert cg.blocks.edge_set() == {(0, 0), (1, 1), (2, 2)}
+        assert cg.edge_set() == {(0, 0), (1, 1), (2, 2)}
 
     def test_v1_matches_sort_oracle(self):
         rng = np.random.default_rng(5)
@@ -139,14 +139,14 @@ class TestSelectBlocks:
             cg = select_blocks_v1(Qb, Kb, BlockBudget(k, "v1"))
             for i in range(6):
                 want = set(np.argsort(-scores[i], kind="stable")[:k])
-                got = {j for bi, j in cg.blocks.edge_set() if bi == i}
+                got = {j for bi, j in cg.edge_set() if bi == i}
                 assert got == want
 
     def test_v1_clamps_budget(self):
         rng = np.random.default_rng(6)
         Qb = rng.normal(size=(4, 2))
         cg = select_blocks_v1(Qb, Qb, BlockBudget(99, "v1"), causal=True)
-        assert cg.blocks.edge_count == 10  # all admissible causal blocks
+        assert cg.edge_count == 10  # all admissible causal blocks
 
     def test_v1_nested_in_top_k(self):
         rng = np.random.default_rng(7)
@@ -154,7 +154,7 @@ class TestSelectBlocks:
         Kb = rng.normal(size=(5, 3))
         prev = set()
         for k in range(1, 6):
-            cur = select_blocks_v1(Qb, Kb, BlockBudget(k, "v1")).blocks.edge_set()
+            cur = select_blocks_v1(Qb, Kb, BlockBudget(k, "v1")).edge_set()
             assert prev <= cur
             prev = cur
 
@@ -192,30 +192,35 @@ class TestSelectBlocks:
 class TestExpandBlocks:
     def test_z1_identity(self):
         _, gold = random_gold(seed=11)
-        assert expand_blocks(chunk_labels(gold, 1), 8, 8) == gold
+        assert expand_blocks(chunk_labels(gold, 1), 1, 8, 8) == gold
 
     def test_single_block_interior(self):
         cg = chunk_labels(AttentionGraph(4, 4, [(0, 1)]), 2)
-        assert cg.blocks.edge_set() == {(0, 0)}
-        expanded = expand_blocks(cg, 4, 4)
+        assert cg.edge_set() == {(0, 0)}
+        expanded = expand_blocks(cg, 2, 4, 4)
         assert expanded.edge_set() == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_round_trip_covers_gold(self):
         for seed in range(5):
             _, gold = random_gold(n=12, seed=seed)
             for z in (1, 2, 3, 4, 8):
-                expanded = expand_blocks(chunk_labels(gold, z), 12, 12)
+                expanded = expand_blocks(chunk_labels(gold, z), z, 12, 12)
                 assert gold.edge_set() <= expanded.edge_set()
                 assert recall(expanded, gold) == 1.0
 
     def test_size_mismatch(self):
         _, gold = random_gold()
         with pytest.raises(ValueError):
-            expand_blocks(chunk_labels(gold, 2), 20, 20)
+            expand_blocks(chunk_labels(gold, 2), 2, 20, 20)
+
+    def test_bad_z(self):
+        _, gold = random_gold()
+        with pytest.raises(ValueError, match="z must be >= 1"):
+            expand_blocks(chunk_labels(gold, 1), 0, 8, 8)
 
     def test_padding_dropped_and_causal(self):
         gold = AttentionGraph(5, 5, [(4, 4), (2, 0)], causal=True)
-        expanded = expand_blocks(chunk_labels(gold, 2), 5, 5)
+        expanded = expand_blocks(chunk_labels(gold, 2), 2, 5, 5)
         assert all(i < 5 and j <= i for i, j in expanded.edge_set())
 
 
@@ -224,7 +229,7 @@ class TestFlopsAndSparsePath:
         sm, gold = random_gold(n=16, seed=12)
         dense = dense_score_flops(16, 16, 6, causal=True)
         for z in (1, 2, 4):
-            g = expand_blocks(chunk_labels(gold, z), 16, 16)
+            g = expand_blocks(chunk_labels(gold, z), z, 16, 16)
             assert graph_score_flops(g, 6) <= dense
 
     def test_equality_only_at_full_budget(self):
@@ -237,8 +242,8 @@ class TestFlopsAndSparsePath:
         rng = np.random.default_rng(13)
         Qb = rng.normal(size=(8, 3))
         Kb = rng.normal(size=(8, 3))
-        g2 = expand_blocks(select_blocks_v1(Qb, Kb, BlockBudget(2, "v1"), z=2), 16, 16)
-        g6 = expand_blocks(select_blocks_v1(Qb, Kb, BlockBudget(6, "v1"), z=2), 16, 16)
+        g2 = expand_blocks(select_blocks_v1(Qb, Kb, BlockBudget(2, "v1")), 2, 16, 16)
+        g6 = expand_blocks(select_blocks_v1(Qb, Kb, BlockBudget(6, "v1")), 2, 16, 16)
         assert graph_score_flops(g2, 4) < graph_score_flops(g6, 4)
 
     def test_csr_counts(self):
@@ -313,8 +318,8 @@ class TestBench:
         labels = chunk_labels(gold, z)
         Qb = chunk_means(sm.Q, z)
         Kb = chunk_means(sm.K, z)
-        cg = select_blocks_v1(Qb, Kb, BlockBudget(labels.m_blocks, "v1"), z=z)
-        expanded = expand_blocks(cg, n, n)
+        cg = select_blocks_v1(Qb, Kb, BlockBudget(labels.m, "v1"))
+        expanded = expand_blocks(cg, z, n, n)
         assert expanded.edge_count == n * n
         np.testing.assert_allclose(
             sparse_attention_probs(sm, expanded), attention_probs(sm), atol=1e-9

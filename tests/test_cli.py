@@ -165,6 +165,13 @@ class TestExitCodes:
             fh.write("\n".join(lines[:-1]) + "\n")
         assert cli.main(["extract"] + base) == 3
 
+    def test_seven_column_sweep_csv_is_data_error(self, tmp_path):
+        # the header of sweep.csv before its always-empty runtime_ms column was dropped
+        records = tmp_path / "sweep.csv"
+        records.write_text("method,hyperparams,layer,head,sparsity,recall,runtime_ms\n"
+                           "window,window=0,0,0,0.5,0.5,\n")
+        assert cli.main(["pareto", "--records", str(records), "--out", str(tmp_path / "o")]) == 3
+
     def test_corrupt_centroid_file_is_data_error(self, exp):
         _, _, out, base = exp
         with open(os.path.join(out, "kmeans", "c_l0_h0_B2.txt"), "a") as fh:
@@ -356,6 +363,13 @@ class TestConfigKeys:
         assert cfg.data == os.path.join(out, "data") and cfg.records == os.path.join(out, "sweep.csv")
         with pytest.raises(AttributeError):
             cfg.n = 13
+
+    def test_sweep_defaults(self):
+        # worked out from the method table: every method, every centroid count of its grids
+        assert sorted(cli.KEYS["methods"][1]) == sorted([
+            "window", "distance", "quantization", "clustering", "routing", "lsh", "bigbird",
+            "longformer"])
+        assert cli.KEYS["B_list"][1] == (2, 4, 6, 8, 10, 12, 16, 20)
 
     def test_readme_table_lists_every_key(self):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")

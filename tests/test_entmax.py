@@ -6,13 +6,17 @@ from sparseattn import (
     EntmaxParams,
     audit_sparse_consistency,
     entmax,
-    entmax_tau,
     masked_entmax,
     support,
 )
 from sparseattn import _kernels
 
 from oracles import entmax_bisect, softmax
+
+
+def tau_of(z, alpha=1.5):
+    """The threshold tau(z) of one score vector, solved as a one-row block."""
+    return float(_kernels.solve_rows(np.asarray(z, dtype=np.float64)[None, :], alpha)[1][0])
 
 
 class TestEntmax:
@@ -91,7 +95,7 @@ class TestEntmax:
             for _ in range(30):
                 z = rng.normal(0, 2, 16)
                 p = entmax(z, params)
-                cut = entmax_tau(z, params) / (alpha - 1.0)
+                cut = tau_of(z, alpha) / (alpha - 1.0)
                 assert np.all(z[p > 0] > cut - 1e-9)
                 assert np.all(z[p == 0] <= cut + 1e-9)
 
@@ -108,30 +112,30 @@ class TestEntmax:
 
 class TestEntmaxTau:
     def test_symmetric_sparsemax(self):
-        assert entmax_tau([0.0, 0.0], EntmaxParams(alpha=2.0)) == pytest.approx(-0.5, abs=1e-12)
+        assert tau_of([0.0, 0.0], 2.0) == pytest.approx(-0.5, abs=1e-12)
 
     def test_vertex_sparsemax(self):
-        assert entmax_tau([1.0, 0.0], EntmaxParams(alpha=2.0)) == pytest.approx(0.0, abs=1e-12)
+        assert tau_of([1.0, 0.0], 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             z = rng.normal(0, 2, 8)
             _, tau_oracle = entmax_bisect(z, alpha=1.5)
-            assert entmax_tau(z) == pytest.approx(tau_oracle, abs=1e-9)
+            assert tau_of(z) == pytest.approx(tau_oracle, abs=1e-9)
 
     def test_normalization_identity(self):
         rng = np.random.default_rng(22)
         for alpha in (1.5, 2.0, 1.7):
-            params = EntmaxParams(alpha=alpha)
             z = rng.normal(0, 2, 12)
-            tau = entmax_tau(z, params)
+            tau = tau_of(z, alpha)
             total = np.sum(np.maximum((alpha - 1) * z - tau, 0) ** (1 / (alpha - 1)))
             assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_alpha_one_rejected(self):
-        with pytest.raises(ValueError):
-            entmax_tau([1.0, 2.0], EntmaxParams(alpha=1.0))
+    def test_alpha_one_is_log_sum_exp(self):
+        # softmax has no finite threshold; its tau is the normaliser, p = exp(z - tau)
+        z = np.array([1.0, 2.0, -0.5])
+        assert tau_of(z, 1.0) == pytest.approx(np.log(np.exp(z).sum()), abs=1e-12)
 
 
 class TestMaskedEntmax:

@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 from sparseattn import (
     AttentionGraph,
     BucketAssignment,
-    ChunkedGraph,
     PatternConfig,
     _kernels,
     bigbird_random_blocks,
@@ -202,16 +201,16 @@ class TestExpandBlocks:
         causal, n, m = _shapes(data)
         z = data.draw(st.integers(1, 4))
         blocks, _ = data.draw(masks(causal=causal, shape=(-(-n // z), -(-m // z))))
-        graph = expand_blocks(ChunkedGraph(z, AttentionGraph.from_dense(blocks, causal)), n, m)
+        graph = expand_blocks(AttentionGraph.from_dense(blocks, causal), z, n, m)
         dense = blocks[np.arange(n)[:, None] // z, np.arange(m)[None, :] // z]
         if causal:
             dense &= np.tri(n, m, dtype=bool)
         _same(graph, _reference(dense, causal))
 
     def test_causal_needs_square(self):
-        cg = ChunkedGraph(4, AttentionGraph(2, 2, [(1, 0)], causal=True))
+        blocks = AttentionGraph(2, 2, [(1, 0)], causal=True)
         with pytest.raises(ValueError):
-            expand_blocks(cg, 7, 8)
+            expand_blocks(blocks, 4, 7, 8)
 
 
 def _window_reference(n, m, window, globals_, causal):

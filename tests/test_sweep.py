@@ -10,7 +10,6 @@ from sparseattn import (
     AttentionGraph,
     ConfigError,
     KMeansConfig,
-    ParetoPoint,
     PatternGrid,
     SweepArtifacts,
     SweepRecord,
@@ -39,13 +38,18 @@ from sparseattn.projection import TrainConfig
 from oracles import pareto_brute_force, run_sweep_uncached
 
 
+def point(s, r):
+    """A record with only the coordinates the frontier reads."""
+    return SweepRecord("m", {}, 0, 0, s, r)
+
+
 class TestParetoFrontier:
     def test_forced_example(self):
-        pts = [ParetoPoint(0.5, 0.9), ParetoPoint(0.6, 0.8), ParetoPoint(0.55, 0.7)]
+        pts = [point(0.5, 0.9), point(0.6, 0.8), point(0.55, 0.7)]
         assert pareto_frontier(pts) == [pts[0], pts[1]]
 
     def test_single_point(self):
-        pts = [ParetoPoint(0.3, 0.4)]
+        pts = [point(0.3, 0.4)]
         assert pareto_frontier(pts) == pts
 
     def test_empty_rejected(self):
@@ -53,14 +57,14 @@ class TestParetoFrontier:
             pareto_frontier([])
 
     def test_duplicates_survive_together(self):
-        pts = [ParetoPoint(0.5, 0.9), ParetoPoint(0.5, 0.9), ParetoPoint(0.5, 0.8)]
+        pts = [point(0.5, 0.9), point(0.5, 0.9), point(0.5, 0.8)]
         assert pareto_frontier(pts) == [pts[0], pts[1]]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             pts = [
-                ParetoPoint(float(s), float(r))
+                point(float(s), float(r))
                 for s, r in rng.random((int(rng.integers(1, 60)), 2))
             ]
             got = pareto_frontier(pts)
@@ -74,7 +78,7 @@ class TestParetoFrontier:
 
     def test_sorted_by_sparsity(self):
         rng = np.random.default_rng(2)
-        pts = [ParetoPoint(float(s), float(r)) for s, r in rng.random((40, 2))]
+        pts = [point(float(s), float(r)) for s, r in rng.random((40, 2))]
         front = pareto_frontier(pts)
         assert [p.sparsity for p in front] == sorted(p.sparsity for p in front)
 
@@ -149,10 +153,23 @@ class TestRunSweep:
 
     def test_unknown_method(self):
         mats, golds, arts = small_setup()
-        with pytest.raises(ConfigError, match="unknown method"):
+        with pytest.raises(ConfigError) as err:
             run_sweep(mats, ["sliding"], artifacts=arts)
+        assert str(err.value) == (
+            "unknown method 'sliding'; choose from ('window', 'distance', 'quantization', "
+            "'clustering', 'routing', 'lsh', 'bigbird', 'longformer')")
         with pytest.raises(ConfigError, match="repeat"):
             run_sweep(mats, ["window", "window"], artifacts=arts)
+
+    def test_default_grids_pass_their_own_checks(self):
+        for method, spec in sweep.METHODS.items():
+            for name, (kind, least, values) in spec.grid.items():
+                assert sweep.check_value(name, values, [kind], least) == tuple(values)
+            if spec.centroids:
+                assert spec.centroids in spec.grid
+        sweep.validate_grids(list(sweep.METHODS), {
+            method: {name: values for name, (*_, values) in spec.grid.items()}
+            for method, spec in sweep.METHODS.items()})
 
     @pytest.mark.parametrize("grids", [
         {"distance": {"tt": [1.0]}}, {"clusterin": {"B": [4]}}, {"distance": {"t": []}},
