@@ -1,9 +1,10 @@
 """Hot numeric kernels, in numpy.
 
 These are the loops that dominate run time: row-wise alpha-entmax on a
-dense mask, score + alpha-entmax on the cells of a CSR graph (scored per
-row, or per bucket and band offset through a predicted graph's cover),
-pairwise squared distances and nearest-centroid assignment.  The rest of the
+dense mask, score + alpha-entmax on the cells of a graph (scored per row of
+a CSR graph, or per bucket and band offset through a predicted graph's
+cover, and solved only where a cell can reach the threshold), pairwise
+squared distances and nearest-centroid assignment.  The rest of the
 package calls them through this module so that each has exactly one
 implementation; ``solve_rows`` holds the package's only alpha dispatch and
 ``sqdist_into`` the only distance formula.
@@ -256,46 +257,86 @@ def kmeans_assign(X, C, x2, D, G):
     return labels, float(mins.sum())
 
 
-def sparse_rows_entmax15(Q, K, indptr, cols, scale, alpha, scores=None):
+def sparse_rows_entmax15(Q, K, indptr, cols, scale, alpha):
     """Score + alpha-entmax evaluated only on the CSR-selected (i, j) cells.
 
     Returns one probability per stored cell, aligned with ``cols``.  Rows
-    with no stored cells contribute nothing.  The scores are ``scores`` if
-    given (one per stored cell, already scaled), else each row's
-    ``K[cols] @ Q[i] * scale``.  Rows are solved by ``solve_rows`` in groups
-    of equal padded width (the next power of two of their length), in
-    chunks of at most ``_BATCH_CELLS`` padded cells.  The name predates the
-    other alphas; the benchmark's trace binds it and counts ``cols``.
+    with no stored cells contribute nothing.  Row i's scores are
+    ``K[cols] @ Q[i] * scale``, solved by ``csr_entmax``.  The name predates
+    the other alphas; the benchmark's trace binds it and counts ``cols``.
     """
-    if scores is None:
-        scores = np.empty(cols.size)
-        bounds = indptr.tolist()
-        for i, q in enumerate(Q):
-            lo, hi = bounds[i], bounds[i + 1]
-            if hi > lo:
-                np.multiply(K.take(cols[lo:hi], axis=0) @ q, scale, out=scores[lo:hi])
-    vals = np.zeros(cols.size)
-    lens = np.diff(indptr)
-    # padded width 2**ceil(log2(len)) (frexp's exponent is the bit length
-    # of len - 1), and 0 for an empty row
-    widths = np.where(lens > 0, np.left_shift(1, np.frexp(np.maximum(lens - 1, 0))[1]), 0)
-    for w in np.unique(widths[widths > 0]):
-        rows = np.flatnonzero(widths == w)
-        step = max(1, _BATCH_CELLS // int(w))
-        for a in range(0, rows.size, step):
-            r = rows[a : a + step]
-            rl = lens[r]
-            pad = np.arange(w) < rl[:, None]
-            # the stored cells of rows r, row after row
-            cells = np.arange(rl.sum()) + np.repeat(indptr[r] - (np.cumsum(rl) - rl), rl)
-            S = np.full(pad.shape, -np.inf)
-            S[pad] = scores[cells]
-            vals[cells] = solve_rows(S, alpha)[0][pad]
-    return vals
+    scores = np.empty(cols.size)
+    bounds = indptr.tolist()
+    for i, q in enumerate(Q):
+        lo, hi = bounds[i], bounds[i + 1]
+        if hi > lo:
+            np.multiply(K.take(cols[lo:hi], axis=0) @ q, scale, out=scores[lo:hi])
+    return csr_entmax(indptr, scores, alpha)
 
 
 # ---------------------------------------------------------------------------
-# Scoring a predicted graph through its cover
+# The cells that can reach the threshold
+#
+# For alpha > 1 the threshold satisfies tau >= -1 in the solver's shifted
+# domain s = (alpha - 1)(z - max z): the max cell has s = 0 and probability
+# (0 - tau) ** (1 / (alpha - 1)) <= 1.  A cell with s < -1 therefore never
+# gets probability, and both sparse paths hand ``solve_rows`` only the cells
+# with s >= -1 (every cell at alpha = 1, softmax).
+
+
+def _reaches_bound(S, zmax, alpha):
+    """Mask of the cells of S whose shifted score, computed with
+    ``solve_rows``' own arithmetic against the finite row maxima ``zmax``
+    (broadcast against S), is >= -1; -inf cells never pass."""
+    if alpha == 1.0:
+        return S > -np.inf
+    s = S - zmax
+    s *= alpha - 1.0
+    return s >= -1.0
+
+
+def csr_entmax(indptr, S, alpha):
+    """Row-wise alpha-entmax of CSR rows of scores S: one probability per
+    cell, aligned with S.  Only the cells that reach the bound are solved;
+    the others get exactly 0."""
+    lens = np.diff(indptr)
+    filled = lens > 0
+    out = np.zeros(S.size)
+    if not filled.any():
+        return out
+    zmax = np.repeat(np.maximum.reduceat(S, indptr[:-1][filled]), lens[filled])
+    keep = _reaches_bound(S, zmax, alpha)
+    kept = np.zeros(S.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    out[keep] = solve_cells(kept[indptr], S[keep], alpha)
+    return out
+
+
+def solve_cells(indptr, S, alpha):
+    """``solve_rows`` on CSR rows of scores S (each row's cells in column
+    order), returning one probability per cell.  Consecutive rows are
+    solved together, each chunk padded with -inf to its widest row, and a
+    chunk holds at most ``_BATCH_CELLS`` // (widest row overall) rows."""
+    out = np.empty(S.size)
+    lens = np.diff(indptr)
+    rows = np.flatnonzero(lens)
+    if not rows.size:
+        return out
+    step = max(1, _BATCH_CELLS // int(lens.max()))
+    for a in range(0, rows.size, step):
+        r = rows[a : a + step]
+        rl = lens[r]
+        pad = np.arange(rl.max()) < rl[:, None]
+        # the rows between r[0] and r[-1] without cells hold none of S
+        lo, hi = indptr[r[0]], indptr[r[-1] + 1]
+        T = np.full(pad.shape, -np.inf)
+        T[pad] = S[lo:hi]
+        out[lo:hi] = solve_rows(T, alpha)[0][pad]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Predicted graphs through their cover
 #
 # A cover is a tuple of pieces whose cells, cut to the admissible cells, are
 # a graph's edges:
@@ -304,7 +345,8 @@ def sparse_rows_entmax15(Q, K, indptr, cols, scale, alpha, scores=None):
 #                        (n, B) and (m, B) memberships);
 #   ("band", half)       keys i - half .. i + half of each query i (.. i if
 #                        causal).
-# A cell in several pieces (or in two buckets) is scored once for each.
+# A cell in several pieces (or in two buckets) is scored by the last of
+# them: pieces in cover order, and the last bucket within a buckets piece.
 
 
 def _band_offsets(half, causal):
@@ -312,8 +354,8 @@ def _band_offsets(half, causal):
 
 
 def cover_cells(cover, n, m, causal) -> int:
-    """Cells ``score_cover`` computes for ``cover`` on an n x m grid, a cell
-    once per piece or bucket that holds it (a causal bucket rectangle
+    """Cells ``cover_candidates`` scores for ``cover`` on an n x m grid, a
+    cell once per piece or bucket that holds it (a causal bucket rectangle
     counts its cells above the diagonal too)."""
     cells = 0
     for kind, *args in cover:
@@ -326,36 +368,114 @@ def cover_cells(cover, n, m, causal) -> int:
     return cells
 
 
-def score_cover(Q, K, cover, causal, out):
-    """Write the dot product Q[i] . K[j] into out[i, j] for every cell of
-    ``cover``, leaving the other cells of the C-contiguous (n, m) ``out``
-    as they are.
+def cover_candidates(Q, K, cover, causal, scale, alpha):
+    """The cells of ``cover`` that reach the bound, as (lin, S): their
+    row-major linear indices i * m + j, sorted, and their scores
+    Q[i] . K[j] * scale.
 
-    Each bucket is one GEMM, ``Q[qb] @ K[kb].T``, scattered into its
-    rectangle; each band offset is one row-wise dot of two row slices,
-    stored through a stride-(m + 1) view of that diagonal.
+    Each bucket is one GEMM, ``Q[qb] @ K[kb].T``, and each band offset one
+    row-wise dot of two row slices; every admissible cell takes its score
+    from the last piece that holds it.  A row's maximum is taken over all of
+    its cells, and only the cells that reach the bound against it are
+    gathered, so no (n, m) array is made.
     """
-    n, m = out.shape
-    flat = out.reshape(-1)
-    for kind, *args in cover:
+    tiles = _cover_tiles(Q, K, cover, causal, scale)
+    zmax = np.full(Q.shape[0], -np.inf)
+    for rows, _, S, _ in tiles:
+        np.maximum.at(zmax, rows, S.max(axis=1))
+    zmax[zmax == -np.inf] = 0.0  # a row without cells
+    lin, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for rows, cols, S, banded in tiles:
+        cells = np.flatnonzero(_reaches_bound(S, zmax[rows, None], alpha))
+        a = cells // cols.size
+        i = rows[a].astype(np.int64)
+        lin.append(i * K.shape[0] + cols[cells - a * cols.size] + (i if banded else 0))
+        vals.append(S.ravel()[cells])
+    lin, vals = np.concatenate(lin), np.concatenate(vals)
+    order = np.argsort(lin)
+    return lin[order], vals[order]
+
+
+def _cover_tiles(Q, K, cover, causal, scale):
+    """Score tiles (rows, cols, S, banded) of ``cover``: S[a, c] scores
+    query rows[a] against key cols[c] (key rows[a] + cols[c] if banded).
+    A cell that a later piece or bucket holds, or that lies above a causal
+    diagonal, is -inf.
+
+    Pieces are taken last first.  Memberships of the pieces already taken
+    are kept as 64-bit words, with the current piece's buckets in the first
+    bits, so that a cell of bucket b is taken later iff its query and key
+    words share a bit above b.
+    """
+    n, m = Q.shape[0], K.shape[0]
+    tiles = []
+    later_half = -1  # the widest band taken so far
+    later_q, later_k = np.zeros((n, 0), dtype=bool), np.zeros((m, 0), dtype=bool)
+    for kind, *args in reversed(cover):
         if kind == "buckets":
             mq, mk = args
+            later_q, later_k = np.hstack([mq, later_q]), np.hstack([mk, later_k])
+            wq, wk = _bit_words(later_q), _bit_words(later_k)
             B = mq.shape[1]
             # tokens grouped by bucket: nonzero of the (B, tokens) view
             qb, qt = np.nonzero(mq.T)
             kb, kt = np.nonzero(mk.T)
+            qt, kt = qt.astype(np.int32), kt.astype(np.int32)  # halves the tile-wide index work
             qs = np.searchsorted(qb, np.arange(B + 1)).tolist()
             ks = np.searchsorted(kb, np.arange(B + 1)).tolist()
             Qg, Kg = Q[qt], K[kt]
             for b in range(B):
                 q0, q1, k0, k1 = qs[b], qs[b + 1], ks[b], ks[b + 1]
                 if q1 > q0 and k1 > k0:
-                    cells = qt[q0:q1, None] * m + kt[k0:k1]
-                    flat[cells.ravel()] = (Qg[q0:q1] @ Kg[k0:k1].T).ravel()
+                    rows, cols = qt[q0:q1], kt[k0:k1]
+                    S = Qg[q0:q1] @ Kg[k0:k1].T
+                    S *= scale
+                    drop = _dropped(rows, cols, wq, wk, b + 1, later_half, causal)
+                    if drop is not None:
+                        np.putmask(S, drop, -np.inf)
+                    tiles.append((rows, cols, S, False))
         else:
-            for o in _band_offsets(args[0], causal):
-                i0, i1 = max(0, -o), min(n, m - o)
-                if i1 > i0:
-                    start = i0 * (m + 1) + o
-                    flat[start : start + (i1 - i0 - 1) * (m + 1) + 1 : m + 1] = np.einsum(
-                        "ij,ij->i", Q[i0:i1], K[i0 + o : i1 + o])
+            half = args[0]
+            offsets = [o for o in _band_offsets(half, causal) if abs(o) > later_half]
+            if offsets:
+                wq, wk = _bit_words(later_q), _bit_words(later_k)
+                S = np.full((n, len(offsets)), -np.inf)
+                for c, o in enumerate(offsets):
+                    i0, i1 = max(0, -o), min(n, m - o)
+                    if i1 > i0:
+                        col = S[i0:i1, c]
+                        np.multiply(np.einsum("ij,ij->i", Q[i0:i1], K[i0 + o : i1 + o]),
+                                    scale, out=col)
+                        for w in range(wq.shape[1]):
+                            col[(wq[i0:i1, w] & wk[i0 + o : i1 + o, w]) != 0] = -np.inf
+                tiles.append((np.arange(n), np.array(offsets, dtype=np.int64), S, True))
+            later_half = max(later_half, half)
+    return tiles
+
+
+def _bit_words(member):
+    """(tokens, ceil(B / 64)) uint64 words of a (tokens, B) boolean
+    membership: bucket b is bit b % 64 of word b // 64."""
+    t, B = member.shape
+    padded = np.zeros((t, -(-B // 64) * 64), dtype=bool)
+    padded[:, :B] = member
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _dropped(rows, cols, wq, wk, first_bit, later_half, causal):
+    """Mask of the cells of a bucket tile that lie above a causal diagonal,
+    in a band taken later, or in a bucket at bit first_bit or above of the
+    words wq, wk; None if there are none of the three kinds."""
+    drop = None
+    if causal or later_half >= 0:
+        d = cols[None, :] - rows[:, None]
+        if causal:
+            drop = d >= (-later_half if later_half >= 0 else 1)
+        else:
+            drop = np.abs(d, out=d) <= later_half
+    for w in range(first_bit // 64, wq.shape[1]):
+        low = first_bit - 64 * w  # bits below it belong to earlier buckets
+        mask = np.uint64(0xFFFF_FFFF_FFFF_FFFF if low <= 0 else (1 << 64) - (1 << low))
+        shared = ((wq[rows, w] & mask)[:, None] & wk[cols, w]) != 0
+        drop = shared if drop is None else np.logical_or(drop, shared, out=drop)
+    return drop

@@ -20,6 +20,7 @@ from .entmax import DEFAULT_PARAMS, EntmaxParams
 from .graph import (
     AttentionGraph,
     ScoreMatrix,
+    _graph_shape,
     admissible_count,
     attention_probs,
     extract_graph,
@@ -79,12 +80,12 @@ def chunk_means(X, z: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if z < 1:
         raise ValueError("block size z must be >= 1")
-    n = X.shape[0]
-    nb = _nblocks(n, z)
-    out = np.empty((nb, X.shape[1]))
-    for b in range(nb):
-        out[b] = X[b * z : (b + 1) * z].mean(axis=0)
-    return out
+    n, d = X.shape
+    full = n // z * z
+    # the full blocks reduce as one (blocks, z, d) array, each block as
+    # ``mean`` over its own rows reduces it
+    means = X[:full].reshape(full // z, z, d).mean(axis=1)
+    return np.vstack([means, X[full:].mean(axis=0, keepdims=True)]) if full < n else means
 
 
 def select_blocks_v1(Qb, Kb, budget: BlockBudget, causal: bool = False) -> AttentionGraph:
@@ -95,12 +96,16 @@ def select_blocks_v1(Qb, Kb, budget: BlockBudget, causal: bool = False) -> Atten
     """
     Qb = np.asarray(Qb, dtype=np.float64)
     Kb = np.asarray(Kb, dtype=np.float64)
-    scores = Qb @ Kb.T
-    nb, mb = scores.shape
-    edges = [(i, j) for i in range(nb)
-             for j in np.argsort(-scores[i, : min(i + 1, mb) if causal else mb],
-                                 kind="stable")[: budget.top_k_blocks]]
-    return AttentionGraph(nb, mb, edges, causal=causal)
+    neg = -(Qb @ Kb.T)
+    nb, mb = _graph_shape(*neg.shape, causal)
+    if causal:  # inadmissible blocks sort after every score
+        neg[np.triu_indices(nb, 1, mb)] = np.inf
+    ranked = np.argsort(neg, axis=1, kind="stable")[:, : budget.top_k_blocks]
+    admissible = np.minimum(np.arange(1, nb + 1), mb) if causal else np.full(nb, mb)
+    keep = np.arange(ranked.shape[1]) < admissible[:, None]
+    lin = (ranked + np.arange(nb)[:, None] * mb)[keep]
+    lin.sort()
+    return AttentionGraph._from_sorted_lin(nb, mb, lin, causal)
 
 
 def expand_blocks(blocks: AttentionGraph, z: int, n: int, m: int) -> AttentionGraph:
@@ -138,13 +143,14 @@ def csr_from_graph(g: AttentionGraph):
 
 
 # A graph is scored through its cover only while the cover has at most this
-# many cells per edge; otherwise its rows are scored one by one.  The 16
-# benchmark ``attend`` heads (k = 2 of B = 32 buckets, window 15) have 1.11 to
-# 1.13 and score 1.3 times faster through the cover.  On 8 of them, one BLAS
-# thread, at k = 8 (2.86 to 2.96) the cover was still faster (614 against
-# 696 ms), at k = 16 (9.0 to 9.3) about twice as slow, and at k = B = 32 five
-# times slower (3,259 against 628 ms).
-_COVER_CELLS_PER_EDGE = 2.0
+# many cells per edge; otherwise its rows are scored one by one.  On 8 of the
+# benchmark ``attend`` heads (B = 32 buckets, window 15, alpha 1.5), one BLAS
+# thread, the cover took 0.58 of the per-row time at k = 2 (1.11 to 1.13
+# cells per edge), 0.47 at k = 4 (1.48 to 1.53), 0.96 at k = 8 (2.86 to
+# 2.96), 2.7 times as long at k = 16 (9.0 to 9.3) and 9.8 at k = 32; causal
+# heads at k = 2, whose bucket rectangles are scored whole (2.11 to 2.17),
+# took 0.77.
+_COVER_CELLS_PER_EDGE = 2.5
 
 
 def sparse_attention_probs(
@@ -160,13 +166,14 @@ def sparse_attention_probs(
     A graph built by ``buckets_to_graph``, ``window_global_graph`` or their
     union is scored through its cover: one GEMM per bucket rectangle (a
     global token is a bucket of its own) and one row-wise dot per band
-    offset, written into the output array before it receives the
-    probabilities.  A cell shared by several buckets or pieces is scored
-    once for each, and causal bucket rectangles include the cells above the
+    offset, each cell taken from the last piece that holds it.  Only the
+    cells that can reach the entmax threshold are gathered, solved and
+    written into the zeroed output; no edge list, CSR or (n, m) score array
+    is made.  Causal bucket rectangles are scored whole and cut at the
     diagonal; the benchmark's ``attend`` heads score 1.11 cells per edge.
     Any other graph, and one whose cover has more than
     ``_COVER_CELLS_PER_EDGE`` cells per edge, is scored row by row on its
-    edges alone.
+    edges alone, with the same bound.
     """
     if (graph.n, graph.m, graph.causal) != (sm.n, sm.m, sm.causal):
         raise ValueError("graph shape/causal flag does not match score matrix")
@@ -180,24 +187,23 @@ def sparse_attention_probs(
 def _probs_on_edges(sm, graph, params, cover):
     """``sparse_attention_probs`` scoring through ``cover`` (the graph's own),
     or row by row if it is None."""
-    indptr, cols = csr_from_graph(graph)
     scale = 1.0 / np.sqrt(sm.d)
     P = np.zeros((sm.n, sm.m))
     flat = P.reshape(-1)
-    scores = None
-    if cover is not None:
-        _kernels.score_cover(sm.Q, sm.K, cover, sm.causal, P)
-        scores = flat[graph._lin] * scale
-        if sm.causal:  # the only cover cells that are not edges lie above the diagonal
-            P.fill(0.0)
-    flat[graph._lin] = _kernels.sparse_rows_entmax15(
-        sm.Q, sm.K, indptr, cols, scale, params.alpha, scores)
+    if cover is None:
+        indptr, cols = csr_from_graph(graph)
+        flat[graph._lin] = _kernels.sparse_rows_entmax15(
+            sm.Q, sm.K, indptr, cols, scale, params.alpha)
+    else:
+        lin, S = _kernels.cover_candidates(sm.Q, sm.K, cover, sm.causal, scale, params.alpha)
+        flat[lin] = _kernels.solve_cells(np.searchsorted(lin, np.arange(sm.n + 1) * sm.m),
+                                         S, params.alpha)
     return P
 
 
 # (n, causal) of the heads ``audit_sparse_attention`` checks.  At n = 512
-# the CSR rows fall into every padded-width group up to 512 and the widest
-# group needs more than one kernel batch.
+# rows are up to 512 cells wide, and at alpha 1, where every cell is solved,
+# they need more than one kernel batch.
 AUDIT_HEADS = ((1, False), (37, False), (37, True), (512, False), (512, True))
 
 

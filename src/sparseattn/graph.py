@@ -89,7 +89,7 @@ class AttentionGraph:
 
     ``_cover`` is ``None`` or a tuple of pieces whose cells, cut to the
     admissible cells, are exactly the edges (the pieces are listed above
-    ``_kernels.score_cover``).  Only ``buckets_to_graph``,
+    ``_kernels.cover_candidates``).  Only ``buckets_to_graph``,
     ``window_global_graph`` and ``graph_union`` set it, so that
     ``sparse_attention_probs`` can score a predicted graph by blocks;
     equality and file I/O ignore it.

@@ -418,3 +418,56 @@ def kmeans_lloyd(X, B, n_init, max_iter, seed):
         if inertia < best_inertia:
             best, best_inertia = C, inertia
     return best, steps
+
+
+def score_cover_overwrites(Q, K, cover, causal):
+    """(n, m) array of a cover's dot products, NaN off the cover, each cell
+    holding the value of the last piece (and, within a buckets piece, the
+    last bucket) that scores it: every bucket is one GEMM over its grouped
+    rows, every band offset one row-wise dot, written in cover order over
+    what came before.  Cells above a causal diagonal are cleared to NaN.
+    """
+    n, m = Q.shape[0], K.shape[0]
+    out = np.full((n, m), np.nan)
+    for kind, *args in cover:
+        if kind == "buckets":
+            mq, mk = args
+            qt = [np.flatnonzero(mq[:, b]) for b in range(mq.shape[1])]
+            kt = [np.flatnonzero(mk[:, b]) for b in range(mk.shape[1])]
+            Qg, Kg = Q[np.concatenate(qt)], K[np.concatenate(kt)]
+            q0 = k0 = 0
+            for rows, cols in zip(qt, kt):
+                if rows.size and cols.size:
+                    out[np.ix_(rows, cols)] = (Qg[q0:q0 + rows.size]
+                                               @ Kg[k0:k0 + cols.size].T)
+                q0, k0 = q0 + rows.size, k0 + cols.size
+        else:
+            half = args[0]
+            for o in range(-half, 1 if causal else half + 1):
+                i0, i1 = max(0, -o), min(n, m - o)
+                if i1 > i0:
+                    rows = np.arange(i0, i1)
+                    out[rows, rows + o] = np.einsum("ij,ij->i", Q[i0:i1], K[i0 + o:i1 + o])
+    if causal:
+        out[np.triu_indices(n, 1, m)] = np.nan
+    return out
+
+
+def chunk_means_loop(X, z):
+    """Mean of each contiguous block of z rows, one block at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    nb = -(-X.shape[0] // z)
+    out = np.empty((nb, X.shape[1]))
+    for b in range(nb):
+        out[b] = X[b * z:(b + 1) * z].mean(axis=0)
+    return out
+
+
+def select_blocks_v1_loop(Qb, Kb, top_k, causal=False):
+    """(i, j) edge tuples: per query block, the top_k key blocks by
+    dot-product from a stable per-row sort (causal rows cut at bi + 1)."""
+    scores = np.asarray(Qb, dtype=np.float64) @ np.asarray(Kb, dtype=np.float64).T
+    nb, mb = scores.shape
+    return [(i, int(j)) for i in range(nb)
+            for j in np.argsort(-scores[i, :min(i + 1, mb) if causal else mb],
+                                kind="stable")[:top_k]]

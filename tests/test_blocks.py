@@ -2,7 +2,10 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import chunk_means_loop, select_blocks_v1_loop
 from sparseattn import (
     AttentionGraph,
     BlockBudget,
@@ -115,6 +118,15 @@ class TestChunkProject:
         with pytest.raises(ValueError):
             chunk_means(np.zeros((4, 6)), 0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), z=st.integers(1, 70),
+           d=st.sampled_from([1, 2, 3, 4, 8, 31, 64]), ties=st.booleans())
+    def test_equal_to_the_per_block_loop(self, seed, n, z, d, ties):
+        X = np.random.default_rng(seed).normal(size=(n, d)) * 10.0
+        if ties:
+            X = np.round(X)
+        assert np.array_equal(chunk_means(X, z), chunk_means_loop(X, z))
+
 
 class TestSelectBlocks:
     def test_v1_full_budget_complete(self):
@@ -141,6 +153,21 @@ class TestSelectBlocks:
                 want = set(np.argsort(-scores[i], kind="stable")[:k])
                 got = {j for bi, j in cg.edge_set() if bi == i}
                 assert got == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nb=st.integers(1, 40), mb=st.integers(1, 40),
+           causal=st.booleans(), ties=st.booleans(), data=st.data())
+    def test_v1_equal_to_the_per_row_loop(self, seed, nb, mb, causal, ties, data):
+        # small integer scores tie often: ties go to the lower block index
+        rng = np.random.default_rng(seed)
+        mb = nb if causal else mb
+        Qb, Kb = rng.normal(size=(nb, 3)), rng.normal(size=(mb, 3))
+        if ties:
+            Qb, Kb = np.round(Qb), np.round(Kb)
+        k = data.draw(st.integers(1, mb + 2))
+        got = select_blocks_v1(Qb, Kb, BlockBudget(k, "v1"), causal=causal)
+        assert got == AttentionGraph(nb, mb, select_blocks_v1_loop(Qb, Kb, k, causal),
+                                     causal=causal)
 
     def test_v1_clamps_budget(self):
         rng = np.random.default_rng(6)
@@ -429,18 +456,21 @@ class TestBench:
 
 
 class TestAudit:
-    @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0, 3.0])
     def test_healthy_build_passes(self, alpha):
         assert audit_sparse_attention(seed=5, alpha=alpha) == []
 
-    @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0, 3.0])
     def test_detects_a_wrong_sparse_kernel(self, monkeypatch, alpha):
+        # the per-row kernel serves the dense check's graphs and the per-row
+        # side of the cover check, so both checks fail on every head
         real = _kernels.sparse_rows_entmax15
         monkeypatch.setattr(
             _kernels, "sparse_rows_entmax15", lambda *a: real(*a) * (1.0 + 1e-6)
         )
         failures = audit_sparse_attention(seed=5, alpha=alpha)
-        assert [f["head"] for f in failures] == list(range(len(AUDIT_HEADS)))
+        assert [(f["head"], f["check"]) for f in failures] == [
+            (h, check) for h in range(len(AUDIT_HEADS)) for check in ("dense", "cover")]
         assert all(f["max_abs_diff"] > 1e-9 for f in failures)
 
 

@@ -3,8 +3,10 @@
 ``buckets_to_graph``, ``window_global_graph`` and ``graph_union`` keep the
 pieces a graph was built from; ``sparse_attention_probs`` scores those
 pieces by blocks instead of row by row.  The cover's cells, cut to the
-admissible cells, must be exactly the edges; ``score_cover`` must write
-exactly those cells; and the probabilities must match the per-row path.
+admissible cells, must be exactly the edges; ``cover_candidates`` must
+score each of them once, with the value of the last piece that holds it,
+and keep exactly those that reach the entmax bound; and the probabilities
+must match the per-row path.
 """
 
 import numpy as np
@@ -13,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import score_cover_overwrites
 from sparseattn import (
     AttentionGraph,
     BucketAssignment,
     Centroids,
     EntmaxParams,
+    extract_graph,
     PatternConfig,
     ScoreMatrix,
     _kernels,
@@ -39,8 +43,8 @@ SETTINGS = settings(max_examples=80, deadline=None)
 
 
 def _cover_multiplicity(cover, n, m, causal):
-    """How many times ``score_cover`` scores each cell, from the pieces'
-    definitions, cell by cell."""
+    """How many of the cover's pieces and buckets hold each cell, from the
+    pieces' definitions, cell by cell."""
     count = np.zeros((n, m), dtype=np.int64)
     for piece in cover:
         kind = piece[0]
@@ -60,13 +64,13 @@ def _assert_cover_is_exact(graph):
     admissible = np.tri(n, m, dtype=bool) if causal else np.ones((n, m), dtype=bool)
     assert np.array_equal((count > 0) & admissible, graph.to_dense())
     assert _kernels.cover_cells(graph._cover, n, m, causal) == count.sum()
-    # score_cover writes Q[i] . K[j] on exactly the cover's cells
+    # at alpha = 1 every cell is a candidate: cover_candidates scores exactly
+    # the edges, each with the last writer's dot product
     rng = np.random.default_rng(n * 100 + m)
     Q, K = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
-    out = np.full((n, m), np.nan)
-    _kernels.score_cover(Q, K, graph._cover, causal, out)
-    assert np.array_equal(~np.isnan(out), count > 0)
-    np.testing.assert_allclose(out[count > 0], (Q @ K.T)[count > 0], rtol=1e-13, atol=1e-13)
+    lin, S = _kernels.cover_candidates(Q, K, graph._cover, causal, 0.5, 1.0)
+    assert np.array_equal(lin, graph._lin)
+    assert np.array_equal(S, score_cover_overwrites(Q, K, graph._cover, causal).ravel()[lin] * 0.5)
 
 
 @st.composite
@@ -136,27 +140,90 @@ class TestCoverCells:
         assert graph == AttentionGraph.from_dense(graph.to_dense())
 
 
+@st.composite
+def cover_graphs(draw):
+    """A graph from every cover-setting builder: unions of one or two
+    buckets graphs (B up to 70, empty buckets, tokens in no bucket or in
+    every bucket) with one or two windows and sets of global tokens, each
+    pattern first or last in the cover."""
+    causal = draw(st.booleans())
+    n = draw(st.integers(1, 40))
+    m = n if causal else draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = None
+    for _ in range(draw(st.integers(1, 2))):
+        B = draw(st.sampled_from([1, 2, 5, 64, 65, 70]))
+        density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+        q, k = rng.random((n, B)) < density, rng.random((m, B)) < density
+        q[:, draw(st.integers(0, B - 1))] = False  # an empty bucket
+        piece = buckets_to_graph(BucketAssignment(q), BucketAssignment(k), causal)
+        graph = piece if graph is None else graph_union(graph, piece)
+    for _ in range(draw(st.integers(1, 2))):
+        pattern = window_global_graph(n, m, draw(patterns(n, m, causal)))
+        graph = graph_union(pattern, graph) if draw(st.booleans()) else graph_union(graph, pattern)
+    return graph
+
+
 def _qk(rng, n, m, d=8):
     return rng.normal(size=(n, d)), rng.normal(size=(m, d))
 
 
-def _counting_score_cover(monkeypatch):
+def _counting(monkeypatch, module, name):
     calls = []
-    real = _kernels.score_cover
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(_kernels, "score_cover", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
+def _per_row(sm, graph, params):
+    return sparse_attention_probs(
+        sm, AttentionGraph._from_sorted_lin(graph.n, graph.m, graph._lin, graph.causal), params)
+
+
+class _CountingGraph(AttentionGraph):
+    """A graph that counts the reads of its edge list."""
+
+    __slots__ = ("reads",)
+
+    @property
+    def _lin(self):
+        self.reads += 1
+        return AttentionGraph._lin.__get__(self)
+
+    @_lin.setter
+    def _lin(self, lin):
+        AttentionGraph._lin.__set__(self, lin)
+
+
+class TestCandidates:
+    @SETTINGS
+    @given(cover_graphs(), st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]), st.integers(0, 2**32 - 1))
+    def test_last_writers_cells_that_reach_the_bound(self, graph, alpha, seed):
+        # against the n x m array of overwritten dot products: the same
+        # values bit for bit, and exactly the cells with
+        # (alpha - 1)(z - max z) >= -1 over the row's edges
+        Q, K = _qk(np.random.default_rng(seed), graph.n, graph.m)
+        lin, S = _kernels.cover_candidates(Q, K, graph._cover, graph.causal, 0.25, alpha)
+        Z = np.full(graph.n * graph.m, -np.inf)
+        Z[graph._lin] = score_cover_overwrites(Q, K, graph._cover, graph.causal).ravel()[graph._lin]
+        Z = Z.reshape(graph.n, graph.m) * 0.25
+        zmax = Z.max(axis=1, keepdims=True)
+        zmax[zmax == -np.inf] = 0.0
+        keep = Z > -np.inf if alpha == 1.0 else (Z - zmax) * (alpha - 1.0) >= -1.0
+        assert np.array_equal(lin, np.flatnonzero(keep))
+        assert np.array_equal(S, Z.ravel()[lin])
+
+
 class TestProbsThroughCover:
-    @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("causal", [False, True])
     def test_equal_to_the_same_edges_scored_per_row(self, monkeypatch, alpha, causal):
-        calls = _counting_score_cover(monkeypatch)
+        calls = _counting(monkeypatch, _kernels, "cover_candidates")
         rng = np.random.default_rng(3)
         params = EntmaxParams(alpha=alpha)
         for n in (1, 2, 17, 130):
@@ -167,19 +234,35 @@ class TestProbsThroughCover:
             pc = PatternConfig(window=5, global_tokens=(0, n - 1), causal=causal)
             graph = combine_with_patterns(
                 buckets_to_graph(BucketAssignment(q), BucketAssignment(k), causal), pc)
-            plain = AttentionGraph._from_sorted_lin(n, n, graph._lin, causal)
             before = len(calls)
             P = blocks._probs_on_edges(sm, graph, params, graph._cover)
             assert len(calls) == before + 1
-            np.testing.assert_allclose(P, sparse_attention_probs(sm, plain, params),
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(P, _per_row(sm, graph, params), rtol=0, atol=1e-12)
             assert not P[~graph.to_dense()].any()
+
+    @SETTINGS
+    @given(cover_graphs(), st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]), st.integers(0, 2**32 - 1))
+    def test_every_builder_matches_the_per_row_path(self, graph, alpha, seed):
+        rng = np.random.default_rng(seed)
+        params = EntmaxParams(alpha=alpha)
+        sm = ScoreMatrix(*_qk(rng, graph.n, graph.m), causal=graph.causal)
+        P = blocks._probs_on_edges(sm, graph, params, graph._cover)
+        np.testing.assert_allclose(P, _per_row(sm, graph, params), rtol=0, atol=1e-12)
+        assert not P[~graph.to_dense()].any()
+        # one more buckets piece, one bucket per query row holding that row's
+        # gold keys, makes the graph cover the gold support
+        gold = extract_graph(sm, params)
+        rows = BucketAssignment(np.eye(graph.n, dtype=bool))
+        covering = graph_union(graph, buckets_to_graph(
+            rows, BucketAssignment(gold.to_dense().T), graph.causal))
+        P = blocks._probs_on_edges(sm, covering, params, covering._cover)
+        np.testing.assert_allclose(P, attention_probs(sm, params), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_covering_graph_equals_dense_attention(self, monkeypatch, causal):
         # one bucket holding every token: the complete graph, 1 (causal:
         # 2n / (n + 1)) cells per edge, scored through the cover
-        calls = _counting_score_cover(monkeypatch)
+        calls = _counting(monkeypatch, _kernels, "cover_candidates")
         rng = np.random.default_rng(4)
         for alpha in (1.25, 1.5, 2.0):
             params = EntmaxParams(alpha=alpha)
@@ -193,7 +276,7 @@ class TestProbsThroughCover:
 
     def test_k_equal_to_B_takes_the_per_row_path(self, monkeypatch):
         # every token in every bucket: B cells per edge, above the guard
-        calls = _counting_score_cover(monkeypatch)
+        calls = _counting(monkeypatch, _kernels, "cover_candidates")
         rng = np.random.default_rng(5)
         B = 6
         sm = ScoreMatrix(*_qk(rng, 40, 40))
@@ -209,29 +292,38 @@ class TestProbsThroughCover:
             assert len(calls) - before == expected
 
     def test_scores_only_the_edges_it_is_given(self, monkeypatch):
-        # the kernel counts the graph's edges, whichever path scored them
+        # the per-row kernel scores every edge of a graph without a cover;
+        # the cover path solves a subset of the edges and makes neither a
+        # CSR nor a gather or scatter by edge: it reads the edge list once,
+        # for its size
         seen = []
         real = _kernels.sparse_rows_entmax15
         monkeypatch.setattr(_kernels, "sparse_rows_entmax15",
                             lambda *a: seen.append(a[3].size) or real(*a))
+        csr = _counting(monkeypatch, blocks, "csr_from_graph")
         rng = np.random.default_rng(6)
         sm = ScoreMatrix(*_qk(rng, 30, 30))
         q = rng.random((30, 5)) < 0.3
         graph = combine_with_patterns(
             buckets_to_graph(BucketAssignment(q), BucketAssignment(q)), PatternConfig(window=3))
-        sparse_attention_probs(sm, graph)
-        assert seen == [graph.edge_count]
+        _per_row(sm, graph, EntmaxParams())
+        assert seen == [graph.edge_count] and len(csr) == 1
+        counted = _CountingGraph._from_sorted_lin(30, 30, graph._lin, False, graph._cover)
+        counted.reads = 0
+        P = sparse_attention_probs(sm, counted)
+        assert counted.reads == 1 and seen == [graph.edge_count] and len(csr) == 1
+        assert not P[~graph.to_dense()].any()
 
 
 class TestAuditOfTheCover:
     def test_detects_a_wrong_cover_scorer(self, monkeypatch):
-        real = _kernels.score_cover
+        real = _kernels.cover_candidates
 
-        def skewed(Q, K, cover, causal, out):
-            real(Q, K, cover, causal, out)
-            out *= 1.0 + 1e-6
+        def skewed(*args):
+            lin, S = real(*args)
+            return lin, S * (1.0 + 1e-6)
 
-        monkeypatch.setattr(_kernels, "score_cover", skewed)
+        monkeypatch.setattr(_kernels, "cover_candidates", skewed)
         failures = audit_sparse_attention(seed=5)
         # a lone cell gets probability 1 whatever its score, so n = 1 passes
         assert [f["head"] for f in failures] == [h for h, (n, _) in enumerate(AUDIT_HEADS)

@@ -4,9 +4,10 @@
 checked against an oracle for its alpha: the scalar-loop sort formulas at
 alpha 1.5 and 2 (``np.array_equal``), a one-row ``entmax`` call and
 ``oracles.entmax_bisect`` for the bisection alphas, and ``oracles.softmax``
-at alpha 1.  Row lengths of 2**k and 2**k + 1 sit on the edges of the
-padded width groups; a patched ``_BATCH_CELLS`` puts chunk boundaries
-inside small inputs, and a few inputs exceed the real cap.
+at alpha 1.  Row lengths of 2**k and 2**k + 1 set the padded width of a
+batch on either side of a power of two and of the 32-cell prefix; a
+patched ``_BATCH_CELLS`` puts chunk boundaries inside small inputs, and a
+few inputs exceed the real cap.
 """
 
 from unittest import mock
@@ -117,7 +118,7 @@ def test_sparse_rows_match_oracle_beyond_batch_cap(ties):
     lens = np.concatenate([rng.integers(0, m + 1, 400), [0, 1, 2, 127, 128, 129, 256, 257, m]])
     assert lens.sum() > _kernels._BATCH_CELLS
     width_512 = np.count_nonzero((lens > 256) & (lens <= 512))
-    assert width_512 * 512 > _kernels._BATCH_CELLS  # this group needs two batches
+    assert width_512 * 512 > _kernels._BATCH_CELLS  # these rows alone need two batches
     Q, K = _qk(rng, lens.size, m, 16, ties)
     indptr, cols = _csr(rng, m, lens)
     for alpha in ALPHAS:
@@ -240,6 +241,80 @@ def test_prefix_solve_rows_of_32_cells_or_fewer():
         S[::3, ::2] = -np.inf
         S[5] = -np.inf
         _assert_prefix_solve_exact(S)
+
+
+def _candidate_solve(S, alpha):
+    """``csr_entmax`` on the finite cells of the rows of S, in S's shape."""
+    finite = S > -np.inf
+    indptr = np.zeros(S.shape[0] + 1, dtype=np.int64)
+    np.cumsum(finite.sum(axis=1), out=indptr[1:])
+    P = np.zeros(S.shape)
+    P[finite] = _kernels.csr_entmax(indptr, S[finite], alpha)
+    return P
+
+
+# the bound z - max z = -1 / (alpha - 1) in the unshifted domain
+BOUNDS = {1.25: -4.0, 1.5: -2.0, 2.0: -1.0, 3.0: -0.5}
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 12),
+    width=st.one_of(st.integers(1, 600), st.sampled_from([31, 32, 33, 34, 64, 65])),
+    kind=st.sampled_from(["normal", "integers", "padded", "near-constant", "at-the-bound"]),
+    spread=st.floats(0.01, 20.0),
+    empty=st.lists(st.integers(0, 11), max_size=3),
+    cap=st.sampled_from(CAPS),
+)
+def test_candidate_solve_equals_whole_row_solve(seed, rows, width, kind, spread, empty, cap):
+    """Only the cells that reach the bound are solved, and nothing moves:
+    bit-equal at alpha 1.5 and 2, where each row is sorted, and within
+    1e-12 where a sum over a narrower row groups its terms differently.
+    "near-constant" rows fill the 32-cell prefix; "at-the-bound" rows tie
+    cells exactly at every alpha's bound and at 1.5-entmax thresholds."""
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(rows, width)) * spread
+    if kind == "integers":
+        S = np.round(S)
+    elif kind == "padded":
+        S[rng.random(S.shape) < rng.random((rows, 1))] = -np.inf
+    elif kind == "near-constant":
+        S = 1.0 + S * 1e-4
+    elif kind == "at-the-bound":
+        S = np.round(S * 4.0) / 4.0
+        S[rng.random(S.shape) < 0.5] = rng.choice(list(BOUNDS.values()))
+        S[:, 0] = 0.0
+        S += rng.choice([0.0, 3.0, -7.25])
+    S[[i for i in empty if i < rows]] = -np.inf
+    for alpha in ALPHAS:
+        with mock.patch.object(_kernels, "_BATCH_CELLS", cap):
+            got = _candidate_solve(S, alpha)
+        want = _kernels.solve_rows(S, alpha)[0]
+        if alpha in (1.5, 2.0):
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0, 3.0])
+def test_cells_below_the_bound_are_never_solved(alpha):
+    # a cell an ulp below the bound has probability 0; a whole-row solve can
+    # let it join the support by rounding, which moves the row by an ulp or
+    # so, while the candidate solve leaves it out
+    bound = BOUNDS[alpha]
+    below = np.nextafter(bound, -np.inf)
+    S = np.array([[0.0, bound, below, below, -1e3, -np.inf]])
+    got = _candidate_solve(S, alpha)
+    assert not got[0, 2:].any()
+    np.testing.assert_allclose(got, _kernels.solve_rows(S, alpha)[0], rtol=0, atol=1e-14)
+    seen = []
+    real = _kernels.solve_cells
+    with mock.patch.object(_kernels, "solve_cells",
+                           lambda indptr, cells, a: seen.append(cells.copy()) or real(
+                               indptr, cells, a)):
+        _candidate_solve(S, alpha)
+    assert [list(cells) for cells in seen] == [[0.0, bound]]
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2048, 1), (128, 128), (2048, 32)])
