@@ -345,8 +345,9 @@ def solve_cells(indptr, S, alpha):
 #                        (n, B) and (m, B) memberships);
 #   ("band", half)       keys i - half .. i + half of each query i (.. i if
 #                        causal).
-# A cell in several pieces (or in two buckets) is scored by the last of
-# them: pieces in cover order, and the last bucket within a buckets piece.
+# A cell in several pieces (or in two buckets) is scored by each of them;
+# the last of them, in cover order and by bucket within a buckets piece,
+# gives its value.
 
 
 def _band_offsets(half, causal):
@@ -370,14 +371,16 @@ def cover_cells(cover, n, m, causal) -> int:
 
 def cover_candidates(Q, K, cover, causal, scale, alpha):
     """The cells of ``cover`` that reach the bound, as (lin, S): their
-    row-major linear indices i * m + j, sorted, and their scores
+    row-major linear indices i * m + j, sorted and unique, and their scores
     Q[i] . K[j] * scale.
 
-    Each bucket is one GEMM, ``Q[qb] @ K[kb].T``, and each band offset one
-    row-wise dot of two row slices; every admissible cell takes its score
-    from the last piece that holds it.  A row's maximum is taken over all of
-    its cells, and only the cells that reach the bound against it are
-    gathered, so no (n, m) array is made.
+    The pieces are scored whole by ``_cover_tiles``.  A row's maximum is
+    taken over all of its cells, and only the cells that reach the bound
+    against it are gathered, so no (n, m) array is made.  A stable sort
+    keeps the copies of a cell in cover order, and each cell keeps its last
+    copy: the last writer's value.  (A cell whose last copy misses the bound
+    while an earlier one reaches it lies within rounding of s = -1, where
+    its probability is 0.)
     """
     tiles = _cover_tiles(Q, K, cover, causal, scale)
     zmax = np.full(Q.shape[0], -np.inf)
@@ -388,39 +391,32 @@ def cover_candidates(Q, K, cover, causal, scale, alpha):
     for rows, cols, S, banded in tiles:
         cells = np.flatnonzero(_reaches_bound(S, zmax[rows, None], alpha))
         a = cells // cols.size
-        i = rows[a].astype(np.int64)
+        i = rows[a]
         lin.append(i * K.shape[0] + cols[cells - a * cols.size] + (i if banded else 0))
         vals.append(S.ravel()[cells])
     lin, vals = np.concatenate(lin), np.concatenate(vals)
-    order = np.argsort(lin)
-    return lin[order], vals[order]
+    order = np.argsort(lin, kind="stable")
+    lin = lin[order]
+    last = np.ones(lin.size, dtype=bool)
+    np.not_equal(lin[1:], lin[:-1], out=last[:-1])
+    return lin[last], vals[order[last]]
 
 
 def _cover_tiles(Q, K, cover, causal, scale):
-    """Score tiles (rows, cols, S, banded) of ``cover``: S[a, c] scores
-    query rows[a] against key cols[c] (key rows[a] + cols[c] if banded).
-    A cell that a later piece or bucket holds, or that lies above a causal
-    diagonal, is -inf.
-
-    Pieces are taken last first.  Memberships of the pieces already taken
-    are kept as 64-bit words, with the current piece's buckets in the first
-    bits, so that a cell of bucket b is taken later iff its query and key
-    words share a bit above b.
-    """
+    """Score tiles (rows, cols, S, banded) of every piece of ``cover``, in
+    cover order: S[a, c] scores query rows[a] against key cols[c] (key
+    rows[a] + cols[c] if banded).  Each bucket is one GEMM,
+    ``Q[qb] @ K[kb].T``, and each band offset one row-wise dot of two row
+    slices; only the cells above a causal diagonal are -inf."""
     n, m = Q.shape[0], K.shape[0]
     tiles = []
-    later_half = -1  # the widest band taken so far
-    later_q, later_k = np.zeros((n, 0), dtype=bool), np.zeros((m, 0), dtype=bool)
-    for kind, *args in reversed(cover):
+    for kind, *args in cover:
         if kind == "buckets":
             mq, mk = args
-            later_q, later_k = np.hstack([mq, later_q]), np.hstack([mk, later_k])
-            wq, wk = _bit_words(later_q), _bit_words(later_k)
             B = mq.shape[1]
             # tokens grouped by bucket: nonzero of the (B, tokens) view
             qb, qt = np.nonzero(mq.T)
             kb, kt = np.nonzero(mk.T)
-            qt, kt = qt.astype(np.int32), kt.astype(np.int32)  # halves the tile-wide index work
             qs = np.searchsorted(qb, np.arange(B + 1)).tolist()
             ks = np.searchsorted(kb, np.arange(B + 1)).tolist()
             Qg, Kg = Q[qt], K[kt]
@@ -430,52 +426,16 @@ def _cover_tiles(Q, K, cover, causal, scale):
                     rows, cols = qt[q0:q1], kt[k0:k1]
                     S = Qg[q0:q1] @ Kg[k0:k1].T
                     S *= scale
-                    drop = _dropped(rows, cols, wq, wk, b + 1, later_half, causal)
-                    if drop is not None:
-                        np.putmask(S, drop, -np.inf)
+                    if causal:
+                        np.putmask(S, cols[None, :] > rows[:, None], -np.inf)
                     tiles.append((rows, cols, S, False))
         else:
-            half = args[0]
-            offsets = [o for o in _band_offsets(half, causal) if abs(o) > later_half]
-            if offsets:
-                wq, wk = _bit_words(later_q), _bit_words(later_k)
-                S = np.full((n, len(offsets)), -np.inf)
-                for c, o in enumerate(offsets):
-                    i0, i1 = max(0, -o), min(n, m - o)
-                    if i1 > i0:
-                        col = S[i0:i1, c]
-                        np.multiply(np.einsum("ij,ij->i", Q[i0:i1], K[i0 + o : i1 + o]),
-                                    scale, out=col)
-                        for w in range(wq.shape[1]):
-                            col[(wq[i0:i1, w] & wk[i0 + o : i1 + o, w]) != 0] = -np.inf
-                tiles.append((np.arange(n), np.array(offsets, dtype=np.int64), S, True))
-            later_half = max(later_half, half)
+            offsets = _band_offsets(args[0], causal)
+            S = np.full((n, len(offsets)), -np.inf)
+            for c, o in enumerate(offsets):
+                i0, i1 = max(0, -o), min(n, m - o)
+                if i1 > i0:
+                    np.multiply(np.einsum("ij,ij->i", Q[i0:i1], K[i0 + o : i1 + o]),
+                                scale, out=S[i0:i1, c])
+            tiles.append((np.arange(n), np.array(offsets, dtype=np.int64), S, True))
     return tiles
-
-
-def _bit_words(member):
-    """(tokens, ceil(B / 64)) uint64 words of a (tokens, B) boolean
-    membership: bucket b is bit b % 64 of word b // 64."""
-    t, B = member.shape
-    padded = np.zeros((t, -(-B // 64) * 64), dtype=bool)
-    padded[:, :B] = member
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
-
-def _dropped(rows, cols, wq, wk, first_bit, later_half, causal):
-    """Mask of the cells of a bucket tile that lie above a causal diagonal,
-    in a band taken later, or in a bucket at bit first_bit or above of the
-    words wq, wk; None if there are none of the three kinds."""
-    drop = None
-    if causal or later_half >= 0:
-        d = cols[None, :] - rows[:, None]
-        if causal:
-            drop = d >= (-later_half if later_half >= 0 else 1)
-        else:
-            drop = np.abs(d, out=d) <= later_half
-    for w in range(first_bit // 64, wq.shape[1]):
-        low = first_bit - 64 * w  # bits below it belong to earlier buckets
-        mask = np.uint64(0xFFFF_FFFF_FFFF_FFFF if low <= 0 else (1 << 64) - (1 << low))
-        shared = ((wq[rows, w] & mask)[:, None] & wk[cols, w]) != 0
-        drop = shared if drop is None else np.logical_or(drop, shared, out=drop)
-    return drop

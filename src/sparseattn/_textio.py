@@ -11,20 +11,24 @@ import numpy as np
 from .errors import DataError
 
 
+def read_ascii(path):
+    """The text of ``path``; a non-ASCII byte is a DataError at its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: non-ASCII byte") from None
+
+
 def read_rows(path, fields, shape, keyword=None, dtype=np.float64):
     """Parse ``path``; returns (header integers, (N, C) array of ``dtype``).
 
     ``fields`` names the header's integer fields, ``keyword`` is the literal
     word in front of them (if any), and ``shape(*header)`` gives (N, C).
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: non-ASCII byte") from None
-    lines = text.splitlines()
+    lines = read_ascii(path).splitlines()
     if not lines:
         raise DataError(f"{path}:1: empty file")
     spec = ([keyword] if keyword else []) + list(fields)

@@ -145,12 +145,14 @@ def csr_from_graph(g: AttentionGraph):
 # A graph is scored through its cover only while the cover has at most this
 # many cells per edge; otherwise its rows are scored one by one.  On 8 of the
 # benchmark ``attend`` heads (B = 32 buckets, window 15, alpha 1.5), one BLAS
-# thread, the cover took 0.58 of the per-row time at k = 2 (1.11 to 1.13
-# cells per edge), 0.47 at k = 4 (1.48 to 1.53), 0.96 at k = 8 (2.86 to
-# 2.96), 2.7 times as long at k = 16 (9.0 to 9.3) and 9.8 at k = 32; causal
-# heads at k = 2, whose bucket rectangles are scored whole (2.11 to 2.17),
-# took 0.77.
-_COVER_CELLS_PER_EDGE = 2.5
+# thread, two runs, the cover took 0.44 to 0.45 of the per-row time at k = 2
+# (1.11 to 1.13 cells per edge), 0.33 to 0.34 at k = 4 (1.48 to 1.53), 0.56
+# to 0.63 at k = 8 (2.86 to 2.96), 0.77 to 0.88 at k = 10 (3.94 to 4.10),
+# 1.09 at k = 12 (5.31 to 5.53) and 1.8 to 1.9 times as long at k = 16 (9.0
+# to 9.3); causal heads, whose bucket rectangles are scored whole, took 0.62
+# to 0.67 at k = 2 (2.11 to 2.17) and 0.66 to 0.73 at k = 4 (2.94 to 3.04).
+# The two paths cross near 5 cells per edge.
+_COVER_CELLS_PER_EDGE = 4.5
 
 
 def sparse_attention_probs(
@@ -166,10 +168,10 @@ def sparse_attention_probs(
     A graph built by ``buckets_to_graph``, ``window_global_graph`` or their
     union is scored through its cover: one GEMM per bucket rectangle (a
     global token is a bucket of its own) and one row-wise dot per band
-    offset, each cell taken from the last piece that holds it.  Only the
-    cells that can reach the entmax threshold are gathered, solved and
-    written into the zeroed output; no edge list, CSR or (n, m) score array
-    is made.  Causal bucket rectangles are scored whole and cut at the
+    offset, each piece scored whole and each cell taken from the last piece
+    that holds it.  Only the cells that can reach the entmax threshold are
+    gathered, solved and written into the zeroed output; no edge list, CSR
+    or (n, m) score array is made.  Causal bucket rectangles are cut at the
     diagonal; the benchmark's ``attend`` heads score 1.11 cells per edge.
     Any other graph, and one whose cover has more than
     ``_COVER_CELLS_PER_EDGE`` cells per edge, is scored row by row on its

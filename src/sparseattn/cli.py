@@ -29,7 +29,7 @@ from .blocks import (
     check_bench_budgets,
     write_bench_csv,
 )
-from .data import SyntheticSpec, generate_instances, load_qk, save_qk
+from .data import SyntheticSpec, generate_instances, json_entries, load_qk, save_qk
 from .entmax import EntmaxParams, audit_sparse_consistency
 from .errors import ConfigError, DataError
 from .graph import extract_graph, read_graph, sparsity, write_graph
@@ -168,8 +168,11 @@ def _load_meta(graphs_dir):
         raise DataError(f"{meta_path}: graph metadata not found (run 'extract' first)") from None
     except ValueError as exc:  # invalid JSON or a non-ASCII byte
         raise DataError(f"{meta_path}: invalid JSON ({exc}) (run 'extract' first)") from None
-    if not isinstance(meta, dict) or not meta.get("graphs") or "gold_sparsity" not in meta:
-        raise DataError(f"{meta_path}: no graphs or gold_sparsity listed (run 'extract' first)")
+    if not json_entries(meta, "graphs", meta_path):
+        raise DataError(f"{meta_path}: no graphs listed (run 'extract' first)")
+    gold = meta.get("gold_sparsity")
+    if isinstance(gold, bool) or not isinstance(gold, (int, float)) or not 0 <= gold <= 1:
+        raise DataError(f"{meta_path}: gold_sparsity {gold!r} is not a number in [0, 1]")
     return meta
 
 

@@ -125,6 +125,18 @@ def save_qk(matrices, out_dir) -> str:
     return manifest
 
 
+def json_entries(doc, key, path):
+    """``doc[key]`` of the JSON document read from ``path``, checked to be a
+    list of objects whose ``"path"``, where given, is a string."""
+    entries = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DataError(f"{path}: {key!r} must be a list of objects")
+    for entry in entries:
+        if not isinstance(entry.get("path", ""), str):
+            raise DataError(f"{path}: {key} path {entry['path']!r} is not a string")
+    return entries
+
+
 def load_qk(path):
     """Load ScoreMatrix instances from a manifest (or a directory holding one)."""
     if os.path.isdir(path):
@@ -136,18 +148,18 @@ def load_qk(path):
         raise DataError(f"{path}: manifest not found") from None
     except ValueError as exc:  # invalid JSON or a non-ASCII byte
         raise DataError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(manifest, dict) or "matrices" not in manifest:
-        raise DataError(f"{path}: manifest must contain a 'matrices' list")
     base = os.path.dirname(path)
     slots = {}
-    for entry in manifest["matrices"]:
+    for entry in json_entries(manifest, "matrices", path):
         try:
             key = (int(entry["layer"]), int(entry["head"]), int(entry.get("instance", 0)))
             role = entry["role"]
             rel = entry["path"]
-            causal = bool(entry["causal"])
+            causal = entry["causal"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed manifest entry ({exc})") from None
+        if not isinstance(causal, bool):
+            raise DataError(f"{path}: causal must be true or false, got {causal!r}")
         if role not in ("Q", "K"):
             raise DataError(f"{path}: role must be 'Q' or 'K', got {role!r}")
         slot = slots.setdefault(key, {"causal": causal})

@@ -89,7 +89,8 @@ class AttentionGraph:
 
     ``_cover`` is ``None`` or a tuple of pieces whose cells, cut to the
     admissible cells, are exactly the edges (the pieces are listed above
-    ``_kernels.cover_candidates``).  Only ``buckets_to_graph``,
+    ``_kernels.cover_cells``); pieces may share cells, which are scored once
+    per piece that holds them.  Only ``buckets_to_graph``,
     ``window_global_graph`` and ``graph_union`` set it, so that
     ``sparse_attention_probs`` can score a predicted graph by blocks;
     equality and file I/O ignore it.
@@ -268,7 +269,8 @@ def sparsity(g: AttentionGraph) -> float:
 
 def graph_union(a: AttentionGraph, b: AttentionGraph) -> AttentionGraph:
     """Edges of either graph; a linear merge of the two sorted edge lists.
-    The union is covered by both covers together when both graphs have one."""
+    The union is covered by both covers together when both graphs have one,
+    ``b``'s pieces last."""
     _check_same_shape(a, b)
     lin = _merge_sorted(a._lin, b._lin)
     cover = None if a._cover is None or b._cover is None else a._cover + b._cover

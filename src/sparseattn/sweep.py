@@ -25,6 +25,7 @@ bit mask and edge count, with its count of gold edges per instance.
 """
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -37,8 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._textio import read_ascii
 from .entmax import EntmaxParams
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .graph import admissible_count, extract_graph, sparsity
 from .predictors import (
     PatternConfig,
@@ -594,27 +596,26 @@ def _parse_hp(text: str) -> dict:
 
 
 def read_sweep_csv(path):
-    from .errors import DataError
-
+    """The records of a ``sweep.csv``; a malformed row is a DataError at
+    its line."""
+    reader = csv.reader(io.StringIO(read_ascii(path), newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    header = rows[0][1] if rows else None
+    if header != SWEEP_CSV_COLUMNS:
+        raise DataError(f"{path}:1: unexpected sweep.csv header {header}")
     records = []
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SWEEP_CSV_COLUMNS:
-            raise DataError(f"{path}: unexpected sweep.csv header {header}")
-        for row in reader:
-            if len(row) != len(SWEEP_CSV_COLUMNS):
-                raise DataError(f"{path}: malformed row {row}")
-            records.append(
-                SweepRecord(
-                    method=row[0],
-                    hyperparams=_parse_hp(row[1]),
-                    layer=int(row[2]),
-                    head=int(row[3]),
-                    sparsity=float(row[4]),
-                    recall=float(row[5]),
-                )
-            )
+    for line, row in rows[1:]:
+        if len(row) != len(SWEEP_CSV_COLUMNS):
+            raise DataError(f"{path}:{line}: malformed row {row}")
+        try:
+            records.append(SweepRecord(
+                method=row[0], hyperparams=_parse_hp(row[1]), layer=int(row[2]),
+                head=int(row[3]), sparsity=float(row[4]), recall=float(row[5])))
+        except ValueError as exc:
+            raise DataError(f"{path}:{line}: {exc}") from None
     return records
 
 

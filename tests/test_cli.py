@@ -165,12 +165,28 @@ class TestExitCodes:
             fh.write("\n".join(lines[:-1]) + "\n")
         assert cli.main(["extract"] + base) == 3
 
-    def test_seven_column_sweep_csv_is_data_error(self, tmp_path):
+    _SWEEP_HEADER = b"method,hyperparams,layer,head,sparsity,recall\n"
+
+    @pytest.mark.parametrize("text, line", [
         # the header of sweep.csv before its always-empty runtime_ms column was dropped
+        (b"method,hyperparams,layer,head,sparsity,recall,runtime_ms\n"
+         b"window,window=0,0,0,0.5,0.5,\n", 1),
+        (_SWEEP_HEADER + b"window,window=0,0,0,0.5,0.5\nwindow,window=0,0,0,half,0.5\n", 3),
+        (_SWEEP_HEADER + b"window,window=0,0,0,1.5,0.5\n", 2),
+        (_SWEEP_HEADER + b"window,window=0,0,0,0.5,-0.1\n", 2),
+        (_SWEEP_HEADER + b"window,window=0,0,0,nan,0.5\n", 2),
+        (_SWEEP_HEADER + b"window,window=0,0.5,0,0.5,0.5\n", 2),
+        (_SWEEP_HEADER + b"window,window=0,0,h,0.5,0.5\n", 2),
+        (_SWEEP_HEADER + b"window,window=0,0,0,0.5,0.5\nwindow,window=\xc3\xa9,0,0,0.5,0.5\n", 3),
+        (_SWEEP_HEADER + b"window," + b"w" * 200_000 + b",0,0,0.5,0.5\n", 2),
+    ], ids=["seven-columns", "unparsable-float", "sparsity-above-1", "negative-recall",
+            "nan-sparsity", "fractional-layer", "non-integer-head", "non-ascii-byte",
+            "field-above-csv-limit"])
+    def test_seven_column_sweep_csv_is_data_error(self, tmp_path, capsys, text, line):
         records = tmp_path / "sweep.csv"
-        records.write_text("method,hyperparams,layer,head,sparsity,recall,runtime_ms\n"
-                           "window,window=0,0,0,0.5,0.5,\n")
+        records.write_bytes(text)
         assert cli.main(["pareto", "--records", str(records), "--out", str(tmp_path / "o")]) == 3
+        assert f"{records}:{line}: " in capsys.readouterr().err
 
     def test_corrupt_centroid_file_is_data_error(self, exp):
         _, _, out, base = exp
@@ -178,15 +194,29 @@ class TestExitCodes:
             fh.write("1 2\n")  # one row more than the header promises
         assert cli.main(["sweep"] + base) == 3
 
-    def test_malformed_graph_metadata_is_data_error(self, exp):
+    @pytest.mark.parametrize("cmd, edit", [
+        ("train-proj", lambda meta: {**meta, "graphs": [
+            {k: v for k, v in meta["graphs"][0].items() if k != "path"}] + meta["graphs"][1:]}),
+        ("train-proj", lambda meta: {**meta, "graphs": 5}),
+        ("train-proj", lambda meta: {**meta, "graphs": ["g.txt"] + meta["graphs"][1:]}),
+        ("train-proj", lambda meta: {**meta, "graphs": [{**meta["graphs"][0], "path": 123}]}),
+        ("train-proj", lambda meta: [meta]),
+        ("sweep", lambda meta: {**meta, "gold_sparsity": "a"}),
+        ("sweep", lambda meta: {**meta, "gold_sparsity": 1.5}),
+        ("sweep", lambda meta: {**meta, "gold_sparsity": float("nan")}),
+        ("sweep", lambda meta: {**meta, "gold_sparsity": True}),
+    ], ids=["entry-without-path", "graphs-not-a-list", "entry-not-an-object",
+            "path-not-a-string", "not-an-object", "string-gold-sparsity",
+            "gold-sparsity-above-1", "nan-gold-sparsity", "bool-gold-sparsity"])
+    def test_malformed_graph_metadata_is_data_error(self, exp, cmd, edit):
         _, _, out, base = exp
         meta_path = os.path.join(out, "graphs", "meta.json")
         with open(meta_path) as fh:
             meta = json.load(fh)
-        del meta["graphs"][0]["path"]
         with open(meta_path, "w") as fh:
-            json.dump(meta, fh)
-        assert cli.main(["train-proj"] + base) == 3
+            json.dump(edit(meta), fh)
+        assert cli.main([cmd] + base) == 3
+        assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
     def test_fit_bins_is_gone(self, exp):
         _, _, _, base = exp

@@ -236,6 +236,27 @@ class TestManifest:
         with pytest.raises(DataError, match="missing its Q or K"):
             load_qk(manifest)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {"matrices": 5},
+        lambda doc: {"matrices": ["l0_h0_i0_q.txt"] + doc["matrices"][1:]},
+        lambda doc: {"matrices": [{**doc["matrices"][0], "path": 123}] + doc["matrices"][1:]},
+        lambda doc: {},
+        lambda doc: [doc],
+        lambda doc: {"matrices": [{**e, "causal": "false"} for e in doc["matrices"]]},
+    ], ids=["matrices-not-a-list", "entry-not-an-object", "path-not-a-string",
+            "no-matrices", "not-an-object", "string-causal-flag"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, edit):
+        import json
+
+        manifest = save_qk(generate_instances(SyntheticSpec(n=6, m=6, d=4, seed=8)),
+                           tmp_path / "data")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        with open(manifest, "w") as fh:
+            json.dump(edit(doc), fh)
+        with pytest.raises(DataError, match="manifest.json"):
+            load_qk(manifest)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             load_qk(tmp_path / "nowhere")
