@@ -1,10 +1,17 @@
-"""The ASCII layout shared by tensor, graph, projection and centroid files.
+"""Every encoding of the files the package reads and writes.
 
-A file is one header line of whitespace-separated non-negative integers,
-led by a literal keyword in some formats, then N rows of C numbers each.
-Each format's reader says how N and C follow from its header fields and
-checks what is specific to it.
+A matrix file (tensor, graph, projection, centroids) is one header line of
+whitespace-separated non-negative integers, led by a literal keyword in
+some formats, then N rows of C numbers each; each format's reader says how
+N and C follow from its header fields and checks what is specific to it.
+JSON files have one-space indents, sorted keys and a final newline, CSV
+files the ``csv`` module's default dialect.  A malformed file is a
+DataError that names it.
 """
+
+import csv
+import io
+import json
 
 import numpy as np
 
@@ -68,3 +75,64 @@ def write_rows(path, header, rows, fmt="%.17g"):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(" ".join(str(word) for word in header) + "\n")
         fh.write((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
+def read_json(path):
+    """The JSON document in ``path``; a missing file or invalid JSON is a DataError."""
+    try:
+        text = read_ascii(path)
+    except FileNotFoundError:
+        raise DataError(f"{path}: file not found") from None
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
+
+
+def write_json(path, doc):
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header):
+    """``(line number, row)`` of each row of ``path`` after its first, which
+    must be ``header``; every row has as many fields as the header."""
+    reader = csv.reader(io.StringIO(read_ascii(path), newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows or rows[0][1] != header:
+        raise DataError(f"{path}:1: expected header {','.join(header)}")
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{line}: expected {len(header)} fields, found {len(row)}")
+    return rows[1:]
+
+
+def index_entries(doc, key, path):
+    """``((layer, head, instance), entry)`` for each entry of ``doc[key]``,
+    the non-empty list of objects of the index file ``path``.  Layer and
+    head are JSON integers, instance is one too or absent (0), and
+    ``"path"`` is a string."""
+    entries = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not entries or not all(isinstance(e, dict) for e in entries):
+        raise DataError(f"{path}: {key!r} must be a non-empty list of objects")
+    out = []
+    for entry in entries:
+        ids = (entry.get("layer"), entry.get("head"), entry.get("instance", 0))
+        if not all(type(i) is int for i in ids):
+            raise DataError(f"{path}: {key} entry {entry!r}: layer, head and instance "
+                            f"must be JSON integers")
+        if not isinstance(entry.get("path"), str):
+            raise DataError(f"{path}: {key} entry {entry!r}: path must be a string")
+        out.append((ids, entry))
+    return out

@@ -9,13 +9,13 @@ The benchmark times full entmax attention against the whole predicted call
 entmax on the selected cells), and counts score-FLOPs for both paths.
 """
 
-import csv
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._textio import write_csv
 from .entmax import DEFAULT_PARAMS, EntmaxParams
 from .graph import (
     AttentionGraph,
@@ -393,20 +393,10 @@ def bench_masked_attention(
 def write_bench_csv(records, path):
     """Benchmark CSV: the dense reference row of the records' one (n, d),
     then one row per record."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_CSV_COLUMNS)
-        if records:
-            rec = records[0]
-            writer.writerow([
-                "dense", rec.n, rec.d, 0, 0, 0,
-                repr(rec.dense_median_ms), repr(rec.dense_iqr_ms),
-                rec.flops_dense, rec.flops_dense, repr(1.0), repr(0.0),
-            ])
-        for rec in records:
-            writer.writerow([
-                rec.variant, rec.n, rec.d, rec.z, rec.top_k, rec.window,
-                repr(rec.block_median_ms), repr(rec.block_iqr_ms),
-                rec.flops_dense, rec.flops_block,
-                repr(rec.recall), repr(rec.sparsity),
-            ])
+    dense = [["dense", rec.n, rec.d, 0, 0, 0, repr(rec.dense_median_ms), repr(rec.dense_iqr_ms),
+              rec.flops_dense, rec.flops_dense, repr(1.0), repr(0.0)] for rec in records[:1]]
+    write_csv(path, BENCH_CSV_COLUMNS, dense + [
+        [rec.variant, rec.n, rec.d, rec.z, rec.top_k, rec.window,
+         repr(rec.block_median_ms), repr(rec.block_iqr_ms), rec.flops_dense, rec.flops_block,
+         repr(rec.recall), repr(rec.sparsity)]
+        for rec in records])

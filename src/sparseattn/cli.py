@@ -29,7 +29,8 @@ from .blocks import (
     check_bench_budgets,
     write_bench_csv,
 )
-from .data import SyntheticSpec, generate_instances, json_entries, load_qk, save_qk
+from ._textio import index_entries, read_json, write_json
+from .data import SyntheticSpec, generate_instances, load_qk, save_qk
 from .entmax import EntmaxParams, audit_sparse_consistency
 from .errors import ConfigError, DataError
 from .graph import extract_graph, read_graph, sparsity, write_graph
@@ -62,7 +63,8 @@ def _rows(cls, prefix="", skip=()):
 # list without repeats; a None default is worked out from other keys.  A
 # key that also has a flag takes the flag's value when the flag is given.
 KEYS = {
-    **_rows(SyntheticSpec),  # seed, alpha and causal are shared by all stages
+    **_rows(SyntheticSpec),  # seed and causal are shared by all stages
+    "alpha": (float, 1.5),
     "m": (int, None),  # n
     "out": (str, "."),
     # None: <out>/<key>, and <out>/sweep.csv for records
@@ -159,33 +161,17 @@ def _load_instances(cfg):
 
 
 def _load_meta(graphs_dir):
-    """The ``meta.json`` that 'extract' writes next to the gold graphs."""
+    """The ``meta.json`` that 'extract' writes next to the gold graphs, and
+    its checked graph entries."""
     meta_path = os.path.join(graphs_dir, "meta.json")
-    try:
-        with open(meta_path, "r", encoding="ascii") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{meta_path}: graph metadata not found (run 'extract' first)") from None
-    except ValueError as exc:  # invalid JSON or a non-ASCII byte
-        raise DataError(f"{meta_path}: invalid JSON ({exc}) (run 'extract' first)") from None
-    if not json_entries(meta, "graphs", meta_path):
-        raise DataError(f"{meta_path}: no graphs listed (run 'extract' first)")
-    gold = meta.get("gold_sparsity")
-    if isinstance(gold, bool) or not isinstance(gold, (int, float)) or not 0 <= gold <= 1:
-        raise DataError(f"{meta_path}: gold_sparsity {gold!r} is not a number in [0, 1]")
-    return meta
-
-
-def _load_graphs(graphs_dir):
-    graphs = {}
-    for entry in _load_meta(graphs_dir)["graphs"]:
-        try:
-            key = (int(entry["layer"]), int(entry["head"]), int(entry["instance"]))
-            path = os.path.join(graphs_dir, entry["path"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{os.path.join(graphs_dir, 'meta.json')}: malformed graph entry ({exc!r})") from None
-        graphs[key] = read_graph(path)
-    return graphs
+    meta = read_json(meta_path)
+    entries = index_entries(meta, "graphs", meta_path)
+    for key, least, most, what in (("gold_sparsity", 0, 1, "in [0, 1]"),
+                                   ("alpha", 1, sys.float_info.max, "finite and >= 1")):
+        val = meta.get(key)
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not least <= val <= most:
+            raise DataError(f"{meta_path}: {key} {val!r} is not a number {what}")
+    return meta, entries
 
 
 def cmd_gen(args) -> int:
@@ -217,9 +203,7 @@ def cmd_extract(args) -> int:
         "gold_sparsity": float(np.mean(sparsities)),
         "graphs": entries,
     }
-    with open(os.path.join(cfg.graphs, "meta.json"), "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(cfg.graphs, "meta.json"), meta)
     print(f"extract: {len(entries)} graphs, gold sparsity {meta['gold_sparsity']:.4f}")
     return 0
 
@@ -235,7 +219,8 @@ def cmd_train_proj(args) -> int:
     cfg = _common(args)
     train_cfg = _build(TrainConfig, cfg, rng_seed=cfg.seed)
     mats = _load_instances(cfg)
-    graphs = _load_graphs(cfg.graphs)
+    graphs = {key: read_graph(os.path.join(cfg.graphs, entry["path"]))
+              for key, entry in _load_meta(cfg.graphs)[1]}
     os.makedirs(cfg.proj, exist_ok=True)
     for (layer, head), group in sorted(_instances_by_head(mats).items()):
         try:
@@ -292,10 +277,10 @@ def cmd_sweep(args) -> int:
     cfg = _common(args)
     pattern_grid = PatternGrid(cfg.windows, cfg.global_counts, cfg.global_mode)
     mats = _load_instances(cfg)
-    meta = _load_meta(cfg.graphs)
-    if meta.get("alpha") != cfg.alpha:
+    meta, _ = _load_meta(cfg.graphs)
+    if meta["alpha"] != cfg.alpha:
         raise ConfigError(
-            f"gold graphs were extracted at alpha {meta.get('alpha')}, the sweep runs at "
+            f"gold graphs were extracted at alpha {meta['alpha']}, the sweep runs at "
             f"alpha {cfg.alpha}; re-run 'extract' with --alpha {cfg.alpha}"
         )
     swept = [METHODS[method] for method in cfg.methods]  # load only what a swept method uses

@@ -7,13 +7,12 @@ latent cluster centers (so attention concentrates within clusters), and
 :func:`load_qk` write and read them as a manifest of tensor files.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import read_rows, write_rows
+from ._textio import index_entries, read_json, read_rows, write_json, write_rows
 from .errors import ConfigError, DataError
 from .graph import ScoreMatrix
 
@@ -28,7 +27,6 @@ class SyntheticSpec:
     generator: str = "gaussian-mixture"
     num_heads: int = 1
     num_instances: int = 1
-    alpha: float = 1.5
     causal: bool = False
     seed: int = 0
     num_clusters: int = 4
@@ -119,45 +117,19 @@ def save_qk(matrices, out_dir) -> str:
                 }
             )
     manifest = os.path.join(out_dir, "manifest.json")
-    with open(manifest, "w", encoding="ascii") as fh:
-        json.dump({"matrices": entries}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, {"matrices": entries})
     return manifest
-
-
-def json_entries(doc, key, path):
-    """``doc[key]`` of the JSON document read from ``path``, checked to be a
-    list of objects whose ``"path"``, where given, is a string."""
-    entries = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise DataError(f"{path}: {key!r} must be a list of objects")
-    for entry in entries:
-        if not isinstance(entry.get("path", ""), str):
-            raise DataError(f"{path}: {key} path {entry['path']!r} is not a string")
-    return entries
 
 
 def load_qk(path):
     """Load ScoreMatrix instances from a manifest (or a directory holding one)."""
     if os.path.isdir(path):
         path = os.path.join(path, "manifest.json")
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{path}: manifest not found") from None
-    except ValueError as exc:  # invalid JSON or a non-ASCII byte
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
     base = os.path.dirname(path)
     slots = {}
-    for entry in json_entries(manifest, "matrices", path):
-        try:
-            key = (int(entry["layer"]), int(entry["head"]), int(entry.get("instance", 0)))
-            role = entry["role"]
-            rel = entry["path"]
-            causal = entry["causal"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed manifest entry ({exc})") from None
+    for key, entry in index_entries(read_json(path), "matrices", path):
+        role = entry.get("role")
+        causal = entry.get("causal")
         if not isinstance(causal, bool):
             raise DataError(f"{path}: causal must be true or false, got {causal!r}")
         if role not in ("Q", "K"):
@@ -167,7 +139,7 @@ def load_qk(path):
             raise DataError(f"{path}: conflicting causal flags for {key}")
         if role in slot:
             raise DataError(f"{path}: duplicate {role} entry for {key}")
-        slot[role] = read_tensor(os.path.join(base, rel))
+        slot[role] = read_tensor(os.path.join(base, entry["path"]))
     out = []
     for key in sorted(slots):
         slot = slots[key]
@@ -183,6 +155,4 @@ def load_qk(path):
             )
         except ValueError as exc:
             raise DataError(f"{path}: head {key}: {exc}") from None
-    if not out:
-        raise DataError(f"{path}: manifest lists no matrices")
     return out

@@ -10,6 +10,7 @@ Everything here is a pure function of its inputs and safe to call
 concurrently.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class EntmaxParams:
     alpha: float = 1.5
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        if not 1.0 <= self.alpha <= sys.float_info.max:  # also false for nan
+            raise ValueError(f"alpha must be a finite number >= 1, got {self.alpha}")
 
 
 DEFAULT_PARAMS = EntmaxParams()

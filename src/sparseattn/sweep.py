@@ -24,9 +24,6 @@ every instance, and each pattern graph without random global tokens as its
 bit mask and edge count, with its count of gold edges per instance.
 """
 
-import csv
-import io
-import json
 import math
 import numbers
 import os
@@ -38,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._textio import read_ascii
+from ._textio import read_csv, write_csv, write_json
 from .entmax import EntmaxParams
 from .errors import ConfigError, DataError
 from .graph import admissible_count, extract_graph, sparsity
@@ -569,22 +566,18 @@ def _fmt(v) -> str:
 
 
 def write_sweep_csv(records, path):
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.method, _hp_str(rec.hyperparams), rec.layer, rec.head,
-                _fmt(rec.sparsity), _fmt(rec.recall),
-            ])
+    write_csv(path, SWEEP_CSV_COLUMNS, (
+        [rec.method, _hp_str(rec.hyperparams), rec.layer, rec.head, _fmt(rec.sparsity), _fmt(rec.recall)]
+        for rec in records))
 
 
 def _parse_hp(text: str) -> dict:
+    """The hyperparameters that ``_hp_str`` wrote as ``text``."""
     hp = {}
-    if not text:
-        return hp
-    for part in text.split("|"):
-        key, _, raw = part.partition("=")
+    for part in text.split("|") if text else ():
+        key, eq, raw = part.partition("=")
+        if not eq or not key or key in hp:
+            raise ValueError(f"hyperparams {text!r}: expected distinct key=value parts")
         try:
             hp[key] = int(raw)
         except ValueError:
@@ -598,18 +591,8 @@ def _parse_hp(text: str) -> dict:
 def read_sweep_csv(path):
     """The records of a ``sweep.csv``; a malformed row is a DataError at
     its line."""
-    reader = csv.reader(io.StringIO(read_ascii(path), newline=""))
-    try:
-        rows = [(reader.line_num, row) for row in reader]
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    header = rows[0][1] if rows else None
-    if header != SWEEP_CSV_COLUMNS:
-        raise DataError(f"{path}:1: unexpected sweep.csv header {header}")
     records = []
-    for line, row in rows[1:]:
-        if len(row) != len(SWEEP_CSV_COLUMNS):
-            raise DataError(f"{path}:{line}: malformed row {row}")
+    for line, row in read_csv(path, SWEEP_CSV_COLUMNS):
         try:
             records.append(SweepRecord(
                 method=row[0], hyperparams=_parse_hp(row[1]), layer=int(row[2]),
@@ -620,14 +603,9 @@ def read_sweep_csv(path):
 
 
 def write_pareto_csv(frontiers, path):
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PARETO_CSV_COLUMNS)
-        for method in sorted(frontiers):
-            for rec in frontiers[method]:
-                writer.writerow(
-                    [method, _hp_str(rec.hyperparams), _fmt(rec.sparsity), _fmt(rec.recall)]
-                )
+    write_csv(path, PARETO_CSV_COLUMNS, (
+        [method, _hp_str(rec.hyperparams), _fmt(rec.sparsity), _fmt(rec.recall)]
+        for method in sorted(frontiers) for rec in frontiers[method]))
 
 
 def report(records, frontiers, out_dir, gold_sparsity: float):
@@ -653,8 +631,5 @@ def report(records, frontiers, out_dir, gold_sparsity: float):
                     sparsity=rec.sparsity,
                     hyperparams=_hp_str(rec.hyperparams),
                 )
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

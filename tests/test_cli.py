@@ -179,9 +179,14 @@ class TestExitCodes:
         (_SWEEP_HEADER + b"window,window=0,0,h,0.5,0.5\n", 2),
         (_SWEEP_HEADER + b"window,window=0,0,0,0.5,0.5\nwindow,window=\xc3\xa9,0,0,0.5,0.5\n", 3),
         (_SWEEP_HEADER + b"window," + b"w" * 200_000 + b",0,0,0.5,0.5\n", 2),
+        (_SWEEP_HEADER + b"window,window=0,0,0,0.5,0.5\nclustering,t,0,0,0.5,0.5\n", 3),
+        (_SWEEP_HEADER + b"window,=1,0,0,0.5,0.5\n", 2),
+        (_SWEEP_HEADER + b"window,w=1|w=2,0,0,0.5,0.5\n", 2),
+        (_SWEEP_HEADER + b"window,w=1|,0,0,0.5,0.5\n", 2),
     ], ids=["seven-columns", "unparsable-float", "sparsity-above-1", "negative-recall",
             "nan-sparsity", "fractional-layer", "non-integer-head", "non-ascii-byte",
-            "field-above-csv-limit"])
+            "field-above-csv-limit", "hyperparam-without-equals", "empty-hyperparam-key",
+            "repeated-hyperparam-key", "empty-hyperparam-part"])
     def test_seven_column_sweep_csv_is_data_error(self, tmp_path, capsys, text, line):
         records = tmp_path / "sweep.csv"
         records.write_bytes(text)
@@ -205,17 +210,33 @@ class TestExitCodes:
         ("sweep", lambda meta: {**meta, "gold_sparsity": 1.5}),
         ("sweep", lambda meta: {**meta, "gold_sparsity": float("nan")}),
         ("sweep", lambda meta: {**meta, "gold_sparsity": True}),
+        ("train-proj", lambda meta: {**meta, "graphs": [
+            {**meta["graphs"][0], "layer": 0.7}] + meta["graphs"][1:]}),
+        ("train-proj", lambda meta: {**meta, "graphs": [
+            {**meta["graphs"][0], "head": True}] + meta["graphs"][1:]}),
+        ("train-proj", lambda meta: {**meta, "graphs": [
+            {**meta["graphs"][0], "instance": 1.0}] + meta["graphs"][1:]}),
+        ("sweep", lambda meta: {**meta, "alpha": "a"}),
+        ("sweep", lambda meta: {k: v for k, v in meta.items() if k != "alpha"}),
+        ("sweep", lambda meta: {**meta, "alpha": 0.5}),
+        ("sweep", lambda meta: {**meta, "alpha": float("inf")}),
+        ("sweep", lambda meta: {**meta, "alpha": True}),
+        ("sweep", lambda meta: {**meta, "alpha": 10**400}),
     ], ids=["entry-without-path", "graphs-not-a-list", "entry-not-an-object",
             "path-not-a-string", "not-an-object", "string-gold-sparsity",
-            "gold-sparsity-above-1", "nan-gold-sparsity", "bool-gold-sparsity"])
-    def test_malformed_graph_metadata_is_data_error(self, exp, cmd, edit):
+            "gold-sparsity-above-1", "nan-gold-sparsity", "bool-gold-sparsity",
+            "float-layer", "bool-head", "float-instance", "string-alpha", "no-alpha",
+            "alpha-below-1", "infinite-alpha", "bool-alpha", "alpha-beyond-float"])
+    def test_malformed_graph_metadata_is_data_error(self, exp, capsys, cmd, edit):
         _, _, out, base = exp
         meta_path = os.path.join(out, "graphs", "meta.json")
         with open(meta_path) as fh:
             meta = json.load(fh)
         with open(meta_path, "w") as fh:
             json.dump(edit(meta), fh)
+        capsys.readouterr()
         assert cli.main([cmd] + base) == 3
+        assert meta_path in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
     def test_fit_bins_is_gone(self, exp):

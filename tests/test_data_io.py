@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -226,8 +227,6 @@ class TestManifest:
     def test_missing_pair(self, tmp_path):
         mats = generate_instances(SyntheticSpec(n=6, m=6, d=4, seed=8))
         manifest = save_qk(mats, tmp_path / "data")
-        import json
-
         with open(manifest) as fh:
             meta = json.load(fh)
         meta["matrices"] = [e for e in meta["matrices"] if e["role"] != "K"]
@@ -243,11 +242,16 @@ class TestManifest:
         lambda doc: {},
         lambda doc: [doc],
         lambda doc: {"matrices": [{**e, "causal": "false"} for e in doc["matrices"]]},
+        lambda doc: {"matrices": [{**e, "layer": 0.7} for e in doc["matrices"]]},
+        lambda doc: {"matrices": [{**e, "head": True} for e in doc["matrices"]]},
+        lambda doc: {"matrices": [{**e, "instance": 0.0} for e in doc["matrices"]]},
+        lambda doc: {"matrices": [{**e, "layer": "0"} for e in doc["matrices"]]},
+        lambda doc: {"matrices": [{k: v for k, v in e.items() if k != "head"}
+                                  for e in doc["matrices"]]},
     ], ids=["matrices-not-a-list", "entry-not-an-object", "path-not-a-string",
-            "no-matrices", "not-an-object", "string-causal-flag"])
+            "no-matrices", "not-an-object", "string-causal-flag", "float-layer",
+            "bool-head", "float-instance", "string-layer", "no-head"])
     def test_malformed_manifest_is_data_error(self, tmp_path, edit):
-        import json
-
         manifest = save_qk(generate_instances(SyntheticSpec(n=6, m=6, d=4, seed=8)),
                            tmp_path / "data")
         with open(manifest) as fh:
@@ -256,6 +260,17 @@ class TestManifest:
             json.dump(edit(doc), fh)
         with pytest.raises(DataError, match="manifest.json"):
             load_qk(manifest)
+
+    def test_instance_defaults_to_zero(self, tmp_path):
+        manifest = save_qk(generate_instances(SyntheticSpec(n=6, m=6, d=4, seed=8)),
+                           tmp_path / "data")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        for entry in doc["matrices"]:
+            del entry["instance"]
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        assert [sm.instance for sm in load_qk(manifest)] == [0]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):

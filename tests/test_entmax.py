@@ -109,6 +109,14 @@ class TestEntmax:
         with pytest.raises(ValueError):
             entmax([[1.0, 2.0]])
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_is_rejected(self, alpha):
+        # nan gave nan probabilities and inf gave all ones, summing to 3
+        with pytest.raises(ValueError, match="finite"):
+            EntmaxParams(alpha=alpha)
+        with pytest.raises(ValueError, match="finite"):
+            audit_sparse_consistency(trials=1, alpha=alpha)
+
 
 class TestEntmaxTau:
     def test_symmetric_sparsemax(self):
