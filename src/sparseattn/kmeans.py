@@ -151,20 +151,17 @@ def assign_topk_membership(X, centroids: Centroids, k: int) -> np.ndarray:
     N = X.shape[0]
     member = np.zeros((N, centroids.B), dtype=bool)
     rows = np.arange(N)
-    # k passes of argmin, each masking the cell it took: a pass takes the
-    # lowest index among the row's smallest remaining distances, the order
-    # of a stable sort, while the distances it takes are finite
-    finite = True
+    if not np.isfinite(D).all():  # an inf or nan distance: sort as the definition does
+        order = np.argsort(D, axis=1, kind="stable")
+        member[np.repeat(rows, k), order[:, :k].ravel()] = True
+        return member
+    # every distance finite: k passes of argmin, each masking the cell it
+    # took, take the lowest index among the row's smallest remaining
+    # distances, the order of a stable sort
     for _ in range(k):
         j = np.argmin(D, axis=1)
-        finite = finite and bool(np.isfinite(D[rows, j]).all())
         member[rows, j] = True
         D[rows, j] = np.inf
-    if not finite:  # an inf or nan distance: sort as the definition does
-        D = _kernels.pairwise_sqdist(X, centroids.C)
-        order = np.argsort(D, axis=1, kind="stable")
-        member[:] = False
-        member[np.repeat(rows, k), order[:, :k].ravel()] = True
     return member
 
 

@@ -6,12 +6,10 @@ The unit of work is a (method, params) group.  It visits each instance
 once and, there, every pattern point (window, global count) of its cells.
 A method that draws nothing from the RNG (all but lsh and bigbird) thus
 predicts its learned graph once per instance and shares it across every
-window and global count.  A cell is scored from edge counts, without
-building the union of the learned graph and the pattern graph.  Every
-graph a cell is scored on is held as a bit mask, one bit per cell, and
-every count is a popcount: a learned graph keeps its mask and that mask
-AND the gold mask, so one popcount against the pattern's mask gives both
-of its intersections.
+window and global count.  Every graph a cell is scored on is held as a
+bit mask, one bit per cell: a cell ORs its learned mask with its pattern
+mask and scores the union by two popcounts, of the union and of the union
+AND the gold mask.
 
 Groups are independent; with ``workers > 1`` they run in separate processes.
 Per-cell RNG streams are derived from the master seed and the cell key, and
@@ -21,7 +19,7 @@ execution nor the order of the grids can change any output byte.
 What groups share is computed once per ``run_sweep`` call and dropped when
 it returns: the gold graph, its bit mask and the projected queries/keys of
 every instance, and each pattern graph without random global tokens as its
-bit mask and edge count, with its count of gold edges per instance.
+bit mask.
 """
 
 import math
@@ -268,9 +266,8 @@ def _validate_artifacts(instances, methods, grids, artifacts: SweepArtifacts):
 
 
 # ---------------------------------------------------------------------------
-# Scoring from edge counts.  A mask holds a graph's cells as bits, 64 to a
-# word: about n*m/8 bytes per graph, however many edges it has.  Every count
-# is a popcount of a mask or of the AND of masks.
+# Scoring by popcount.  A mask holds a graph's cells as bits, 64 to a word:
+# about n*m/8 bytes per graph, however many edges it has.
 
 
 def _mask(graph) -> np.ndarray:
@@ -281,52 +278,17 @@ def _mask(graph) -> np.ndarray:
     return np.packbits(cells, bitorder="little").view(np.uint64)
 
 
-def _popcount(masks):
-    """Set bits of each mask along the last axis."""
-    return np.bitwise_count(masks).sum(-1)
+def _popcount(mask) -> int:
+    return int(np.bitwise_count(mask).sum())
 
 
-class _Scored(NamedTuple):
-    """A graph reduced to what scoring against one gold graph needs.
-
-    A learned graph's ``masks`` has two rows, its mask and that mask AND
-    the gold mask; a pattern's is its mask alone, shared by every instance
-    of its shape.
-    """
-
-    masks: np.ndarray
-    edges: int
-    hits: int  # gold edges
-
-
-def _learned(graph, gold_mask):
-    if graph is None:
-        return None
-    mask = _mask(graph)
-    masks = np.stack((mask, mask & gold_mask))
-    edges, hits = _popcount(masks).tolist()
-    return _Scored(masks, edges, hits)
-
-
-def _pattern(mask, edges, gold_mask) -> _Scored:
-    return _Scored(mask, edges, int(_popcount(mask & gold_mask)))
-
-
-def _union_scores(learned, pattern: _Scored, gold):
-    """``(sparsity, recall)`` of the union of ``learned`` (None: no learned
-    graph) and ``pattern`` against ``gold``, without building the union.
-
-    |L | P| = |L| + |P| - |L & P| and |(L | P) & G| = |L & G| + |P & G| -
-    |L & P & G|, where one popcount of the learned masks AND the pattern
-    mask gives both intersections; the final expressions are those of
-    ``graph.sparsity`` and ``graph.recall``, so the values are equal bit
-    for bit.
-    """
-    edges, hits = pattern.edges, pattern.hits
-    if learned is not None:
-        both, both_gold = _popcount(learned.masks & pattern.masks).tolist()
-        edges += learned.edges - both
-        hits += learned.hits - both_gold
+def _union_scores(learned, pattern, gold_mask, gold):
+    """``(sparsity, recall)`` of the union of the masks ``learned`` (None:
+    no learned graph) and ``pattern`` against ``gold``, whose mask is
+    ``gold_mask``.  The final expressions are those of ``graph.sparsity``
+    and ``graph.recall``, so the values are equal bit for bit."""
+    union = pattern if learned is None else learned | pattern
+    edges, hits = _popcount(union), _popcount(union & gold_mask)
     return 1.0 - edges / admissible_count(gold.n, gold.m, gold.causal), hits / gold.edge_count
 
 
@@ -336,9 +298,8 @@ class _SweepState:
 
     ``projections[idx]`` holds instance idx's projected (Q, K), or None when
     no swept method projects, and ``gold_masks[idx]`` the mask of its gold
-    graph.  Memoised as groups ask for them: each pattern graph without
-    random global tokens as its mask and edge count per (PatternConfig, n,
-    m), and its gold hits per (PatternConfig, instance).
+    graph.  ``patterns`` memoises, as groups ask for them, the mask of each
+    pattern graph without random global tokens per (PatternConfig, n, m).
     """
 
     instances: list
@@ -349,30 +310,24 @@ class _SweepState:
     seed: int
     pattern_grid: PatternGrid
     patterns: dict = field(default_factory=dict)
-    scored_patterns: dict = field(default_factory=dict)
 
-    def pattern(self, pc: PatternConfig, idx) -> _Scored:
-        scored = self.scored_patterns.get((pc, idx))
-        if scored is None:
-            sm = self.instances[idx]
-            key = (pc, sm.n, sm.m)
-            if key not in self.patterns:
-                graph = window_global_graph(sm.n, sm.m, pc)
-                self.patterns[key] = _mask(graph), graph.edge_count
-            scored = _pattern(*self.patterns[key], self.gold_masks[idx])
-            self.scored_patterns[(pc, idx)] = scored
-        return scored
+    def pattern(self, pc: PatternConfig, sm) -> np.ndarray:
+        key = (pc, sm.n, sm.m)
+        if key not in self.patterns:
+            self.patterns[key] = _mask(window_global_graph(sm.n, sm.m, pc))
+        return self.patterns[key]
 
 
-def _predict(method, params, sm, artifacts, proj, rng):
-    """The learned graph of one instance, or None for a pattern-only method."""
+def _learned(method, params, sm, artifacts, proj, rng):
+    """The mask of one instance's learned graph, or None for a pattern-only
+    method."""
     spec = METHODS[method]
     if spec.predict is None:
         return None
     Qp, Kp = proj if spec.projects else (None, None)
     centroids = (artifacts.centroids[(sm.layer, sm.head, int(params[spec.centroids]))]
                  if spec.centroids else None)
-    return spec.predict(params, sm, Qp, Kp, centroids, rng)
+    return _mask(spec.predict(params, sm, Qp, Kp, centroids, rng))
 
 
 def _eval_group(group, state: _SweepState):
@@ -399,7 +354,7 @@ def _eval_group(group, state: _SweepState):
                                                      state.gold_masks)):
         proj = state.projections[idx]
         if not draws:
-            learned = _learned(_predict(method, params, sm, state.artifacts, proj, None), gold_mask)
+            learned = _learned(method, params, sm, state.artifacts, proj, None)
         limit = min(sm.n, sm.m)
         for w, g_count, crc, _, sums in cells:
             take = min(g_count, limit)
@@ -410,14 +365,13 @@ def _eval_group(group, state: _SweepState):
                 rng = np.random.default_rng((state.seed, crc, idx))
             if random_globals:  # drawn per (cell, instance): nothing to share
                 globals_ = tuple(int(t) for t in rng.choice(limit, size=take, replace=False))
-                graph = window_global_graph(sm.n, sm.m, PatternConfig(w, globals_, sm.causal))
-                pattern = _pattern(_mask(graph), graph.edge_count, gold_mask)
+                pattern = _mask(window_global_graph(sm.n, sm.m,
+                                                    PatternConfig(w, globals_, sm.causal)))
             else:
-                pattern = state.pattern(PatternConfig(w, tuple(range(take)), sm.causal), idx)
+                pattern = state.pattern(PatternConfig(w, tuple(range(take)), sm.causal), sm)
             if draws:
-                learned = _learned(_predict(method, params, sm, state.artifacts, proj, rng),
-                                   gold_mask)
-            s, r = _union_scores(learned, pattern, gold)
+                learned = _learned(method, params, sm, state.artifacts, proj, rng)
+            s, r = _union_scores(learned, pattern, gold_mask, gold)
             key = (sm.layer, sm.head)
             s_sum, r_sum, count = sums.get(key, (0.0, 0.0, 0))
             sums[key] = (s_sum + s, r_sum + r, count + 1)

@@ -321,16 +321,14 @@ class TestCountScoring:
     @settings(max_examples=40, deadline=None)
     def test_equals_scores_of_the_materialised_union(self, relation, causal, data):
         L, P, G = data.draw(_graph_triple(relation, causal))
-        gold_mask = sweep._mask(G)
-        learned = sweep._learned(L, gold_mask)
-        pattern = sweep._pattern(sweep._mask(P), P.edge_count, gold_mask)
-        assert (learned.edges, learned.hits) == (L.edge_count, np.intersect1d(L._lin, G._lin).size)
-        assert pattern.hits == np.intersect1d(P._lin, G._lin).size
+        learned, pattern, gold_mask = (sweep._mask(g) for g in (L, P, G))
+        assert [sweep._popcount(mask) for mask in (learned, pattern, gold_mask)] == [
+            g.edge_count for g in (L, P, G)]
         union = graph_union(L, P)
-        want = (sparsity(union), recall(union, G))
-        assert sweep._union_scores(learned, pattern, G) == want
-        if relation == "empty L":  # the pattern-only methods pass no learned graph
-            assert sweep._union_scores(None, pattern, G) == want
+        assert (sweep._union_scores(learned, pattern, gold_mask, G)
+                == (sparsity(union), recall(union, G)))
+        # the pattern-only methods pass no learned graph: P is scored alone
+        assert sweep._union_scores(None, pattern, gold_mask, G) == (sparsity(P), recall(P, G))
 
 
 class TestPatternGridValidation:
