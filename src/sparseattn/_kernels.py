@@ -354,21 +354,6 @@ def _band_offsets(half, causal):
     return range(-half, 1 if causal else half + 1)
 
 
-def cover_cells(cover, n, m, causal) -> int:
-    """Cells ``cover_candidates`` scores for ``cover`` on an n x m grid, a
-    cell once per piece or bucket that holds it (a causal bucket rectangle
-    counts its cells above the diagonal too)."""
-    cells = 0
-    for kind, *args in cover:
-        if kind == "buckets":
-            mq, mk = args
-            cells += int(mq.sum(axis=0) @ mk.sum(axis=0))
-        else:
-            cells += sum(max(0, min(n, m - o) - max(0, -o))
-                         for o in _band_offsets(args[0], causal))
-    return cells
-
-
 def cover_candidates(Q, K, cover, causal, scale, alpha):
     """The cells of ``cover`` that reach the bound, as (lin, S): their
     row-major linear indices i * m + j, sorted and unique, and their scores

@@ -142,19 +142,6 @@ def csr_from_graph(g: AttentionGraph):
     return np.searchsorted(g._lin, np.arange(g.n + 1) * g.m), g._lin % g.m
 
 
-# A graph is scored through its cover only while the cover has at most this
-# many cells per edge; otherwise its rows are scored one by one.  On 8 of the
-# benchmark ``attend`` heads (B = 32 buckets, window 15, alpha 1.5), one BLAS
-# thread, two runs, the cover took 0.44 to 0.45 of the per-row time at k = 2
-# (1.11 to 1.13 cells per edge), 0.33 to 0.34 at k = 4 (1.48 to 1.53), 0.56
-# to 0.63 at k = 8 (2.86 to 2.96), 0.77 to 0.88 at k = 10 (3.94 to 4.10),
-# 1.09 at k = 12 (5.31 to 5.53) and 1.8 to 1.9 times as long at k = 16 (9.0
-# to 9.3); causal heads, whose bucket rectangles are scored whole, took 0.62
-# to 0.67 at k = 2 (2.11 to 2.17) and 0.66 to 0.73 at k = 4 (2.94 to 3.04).
-# The two paths cross near 5 cells per edge.
-_COVER_CELLS_PER_EDGE = 4.5
-
-
 def sparse_attention_probs(
     sm: ScoreMatrix, graph: AttentionGraph, params: EntmaxParams = DEFAULT_PARAMS
 ) -> np.ndarray:
@@ -166,32 +153,22 @@ def sparse_attention_probs(
     (sparse consistency).
 
     A graph built by ``buckets_to_graph``, ``window_global_graph`` or their
-    union is scored through its cover: one GEMM per bucket rectangle (a
-    global token is a bucket of its own) and one row-wise dot per band
+    union is always scored through its cover: one GEMM per bucket rectangle
+    (a global token is a bucket of its own) and one row-wise dot per band
     offset, each piece scored whole and each cell taken from the last piece
     that holds it.  Only the cells that can reach the entmax threshold are
     gathered, solved and written into the zeroed output; no edge list, CSR
-    or (n, m) score array is made.  Causal bucket rectangles are cut at the
-    diagonal; the benchmark's ``attend`` heads score 1.11 cells per edge.
-    Any other graph, and one whose cover has more than
-    ``_COVER_CELLS_PER_EDGE`` cells per edge, is scored row by row on its
-    edges alone, with the same bound.
+    or (n, m) score array is made.  A causal bucket rectangle is scored
+    whole too, its cells above the diagonal set to -inf; the benchmark's
+    ``attend`` heads score 1.11 cells per edge.  Any other graph is scored
+    row by row on its edges alone, with the same bound.
     """
     if (graph.n, graph.m, graph.causal) != (sm.n, sm.m, sm.causal):
         raise ValueError("graph shape/causal flag does not match score matrix")
-    cover = graph._cover
-    if cover is not None and (_kernels.cover_cells(cover, sm.n, sm.m, sm.causal)
-                              > _COVER_CELLS_PER_EDGE * graph.edge_count):
-        cover = None
-    return _probs_on_edges(sm, graph, params, cover)
-
-
-def _probs_on_edges(sm, graph, params, cover):
-    """``sparse_attention_probs`` scoring through ``cover`` (the graph's own),
-    or row by row if it is None."""
     scale = 1.0 / np.sqrt(sm.d)
     P = np.zeros((sm.n, sm.m))
     flat = P.reshape(-1)
+    cover = graph._cover
     if cover is None:
         indptr, cols = csr_from_graph(graph)
         flat[graph._lin] = _kernels.sparse_rows_entmax15(
@@ -218,10 +195,10 @@ def audit_sparse_attention(seed: int = 0, alpha: float = 1.5):
     ``sparse_attention_probs`` must equal ``attention_probs`` within 1e-9
     (check ``"dense"``).  Each head also gets a bucket-plus-window graph
     (random memberships with an empty bucket and tokens in no bucket, a
-    window of 5 and global token 0) whose probabilities scored through its
-    cover must equal those of the same edges scored row by row within 1e-12
-    (check ``"cover"``).  Returns one record per failed check (empty on a
-    healthy build).
+    window of 5 and global token 0) whose probabilities, scored through its
+    cover, must equal those of a coverless copy of the same edges, scored
+    row by row, within 1e-12 (check ``"cover"``).  Returns one record per
+    failed check (empty on a healthy build).
     """
     params = EntmaxParams(alpha=alpha)
     rng = np.random.default_rng(seed)
@@ -244,8 +221,9 @@ def audit_sparse_attention(seed: int = 0, alpha: float = 1.5):
             buckets_to_graph(BucketAssignment(mq), BucketAssignment(mk), causal=causal),
             PatternConfig(window=5, global_tokens=(0,), causal=causal),
         )
-        by_rows = _probs_on_edges(sm, bucketed, params, None)
-        by_cover = _probs_on_edges(sm, bucketed, params, bucketed._cover)
+        by_rows = sparse_attention_probs(
+            sm, AttentionGraph._from_sorted_lin(n, n, bucketed._lin, causal), params)
+        by_cover = sparse_attention_probs(sm, bucketed, params)
         checks.append(("cover", np.max(np.abs(by_cover - by_rows)), 1e-12))
         for check, diff, tol in checks:
             if not diff <= tol:

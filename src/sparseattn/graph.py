@@ -88,9 +88,9 @@ class AttentionGraph:
     indices, trusts its input to hold it already.
 
     ``_cover`` is ``None`` or a tuple of pieces whose cells, cut to the
-    admissible cells, are exactly the edges (the pieces are listed above
-    ``_kernels.cover_cells``); pieces may share cells, which are scored once
-    per piece that holds them.  Only ``buckets_to_graph``,
+    admissible cells, are exactly the edges (the pieces are listed in the
+    cover-format comment of ``_kernels``); pieces may share cells, which are
+    scored once per piece that holds them.  Only ``buckets_to_graph``,
     ``window_global_graph`` and ``graph_union`` set it, so that
     ``sparse_attention_probs`` can score a predicted graph by blocks;
     equality and file I/O ignore it.

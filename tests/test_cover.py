@@ -27,10 +27,13 @@ from sparseattn import (
     _kernels,
     attention_probs,
     audit_sparse_attention,
+    bigbird_random_blocks,
     blocks,
     buckets_to_graph,
     cluster_qk,
     combine_with_patterns,
+    distance_pairing,
+    expand_blocks,
     graph_union,
     read_graph,
     sparse_attention_probs,
@@ -63,7 +66,6 @@ def _assert_cover_is_exact(graph):
     count = _cover_multiplicity(graph._cover, n, m, causal)
     admissible = np.tri(n, m, dtype=bool) if causal else np.ones((n, m), dtype=bool)
     assert np.array_equal((count > 0) & admissible, graph.to_dense())
-    assert _kernels.cover_cells(graph._cover, n, m, causal) == count.sum()
     # at alpha = 1 every cell is a candidate: cover_candidates scores exactly
     # the edges, each with the last writer's dot product
     rng = np.random.default_rng(n * 100 + m)
@@ -235,7 +237,7 @@ class TestProbsThroughCover:
             graph = combine_with_patterns(
                 buckets_to_graph(BucketAssignment(q), BucketAssignment(k), causal), pc)
             before = len(calls)
-            P = blocks._probs_on_edges(sm, graph, params, graph._cover)
+            P = sparse_attention_probs(sm, graph, params)
             assert len(calls) == before + 1
             np.testing.assert_allclose(P, _per_row(sm, graph, params), rtol=0, atol=1e-12)
             assert not P[~graph.to_dense()].any()
@@ -246,7 +248,7 @@ class TestProbsThroughCover:
         rng = np.random.default_rng(seed)
         params = EntmaxParams(alpha=alpha)
         sm = ScoreMatrix(*_qk(rng, graph.n, graph.m), causal=graph.causal)
-        P = blocks._probs_on_edges(sm, graph, params, graph._cover)
+        P = sparse_attention_probs(sm, graph, params)
         np.testing.assert_allclose(P, _per_row(sm, graph, params), rtol=0, atol=1e-12)
         assert not P[~graph.to_dense()].any()
         # one more buckets piece, one bucket per query row holding that row's
@@ -255,7 +257,7 @@ class TestProbsThroughCover:
         rows = BucketAssignment(np.eye(graph.n, dtype=bool))
         covering = graph_union(graph, buckets_to_graph(
             rows, BucketAssignment(gold.to_dense().T), graph.causal))
-        P = blocks._probs_on_edges(sm, covering, params, covering._cover)
+        P = sparse_attention_probs(sm, covering, params)
         np.testing.assert_allclose(P, attention_probs(sm, params), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("causal", [False, True])
@@ -274,28 +276,31 @@ class TestProbsThroughCover:
             np.testing.assert_allclose(P, attention_probs(sm, params), rtol=0, atol=1e-9)
         assert len(calls) == 3
 
-    def test_k_equal_to_B_takes_the_per_row_path(self, monkeypatch):
-        # every token in every bucket: B cells per edge, above the guard
+    def test_k_equal_to_B_is_scored_through_the_cover(self, monkeypatch):
+        # every token in every bucket: B cells per edge, a nearly complete
+        # graph, and still one cover_candidates call, as at k = 1
         calls = _counting(monkeypatch, _kernels, "cover_candidates")
         rng = np.random.default_rng(5)
         B = 6
-        sm = ScoreMatrix(*_qk(rng, 40, 40))
-        centroids = Centroids(rng.normal(size=(B, 8)))
-        pc = PatternConfig(window=3)
-        for k, expected in ((B, 0), (1, 1)):
-            qa, ka = cluster_qk(sm.Q, sm.K, centroids, k)
-            graph = combine_with_patterns(buckets_to_graph(qa, ka), pc)
-            ratio = _kernels.cover_cells(graph._cover, 40, 40, False) / graph.edge_count
-            assert (ratio > blocks._COVER_CELLS_PER_EDGE) == (k == B)
-            before = len(calls)
-            sparse_attention_probs(sm, graph)
-            assert len(calls) - before == expected
+        for causal in (False, True):
+            sm = ScoreMatrix(*_qk(rng, 40, 40), causal=causal)
+            centroids = Centroids(rng.normal(size=(B, 8)))
+            pc = PatternConfig(window=3, causal=causal)
+            for k in (B, 1):
+                qa, ka = cluster_qk(sm.Q, sm.K, centroids, k)
+                graph = combine_with_patterns(buckets_to_graph(qa, ka, causal), pc)
+                for alpha in (1.0, 1.25, 1.5, 2.0, 3.0):
+                    params = EntmaxParams(alpha=alpha)
+                    before = len(calls)
+                    P = sparse_attention_probs(sm, graph, params)
+                    assert len(calls) == before + 1
+                    np.testing.assert_allclose(P, _per_row(sm, graph, params),
+                                               rtol=0, atol=1e-12)
 
     def test_scores_only_the_edges_it_is_given(self, monkeypatch):
         # the per-row kernel scores every edge of a graph without a cover;
-        # the cover path solves a subset of the edges and makes neither a
-        # CSR nor a gather or scatter by edge: it reads the edge list once,
-        # for its size
+        # the cover path solves a subset of the edges and never reads the
+        # edge list: no CSR, no gather or scatter by edge, not even its size
         seen = []
         real = _kernels.sparse_rows_entmax15
         monkeypatch.setattr(_kernels, "sparse_rows_entmax15",
@@ -311,8 +316,46 @@ class TestProbsThroughCover:
         counted = _CountingGraph._from_sorted_lin(30, 30, graph._lin, False, graph._cover)
         counted.reads = 0
         P = sparse_attention_probs(sm, counted)
-        assert counted.reads == 1 and seen == [graph.edge_count] and len(csr) == 1
+        assert counted.reads == 0 and seen == [graph.edge_count] and len(csr) == 1
         assert not P[~graph.to_dense()].any()
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_one_scorer_per_call(self, monkeypatch, tmp_path, causal):
+        # a graph with a cover goes through cover_candidates alone, whatever
+        # its density; any other graph, or a union with one, row by row
+        by_cover = _counting(monkeypatch, _kernels, "cover_candidates")
+        by_rows = _counting(monkeypatch, _kernels, "sparse_rows_entmax15")
+        rng = np.random.default_rng(7)
+        n = 24
+        sm = ScoreMatrix(*_qk(rng, n, n), causal=causal)
+        q, k = rng.random((n, 4)) < 0.3, rng.random((n, 4)) < 0.3
+        bucketed = buckets_to_graph(BucketAssignment(q), BucketAssignment(k), causal)
+        pattern = window_global_graph(n, n, PatternConfig(window=5, global_tokens=(3,),
+                                                          causal=causal))
+        every = np.ones((n, 6), dtype=bool)  # the complete graph, 6 cells per edge
+        complete = buckets_to_graph(BucketAssignment(every), BucketAssignment(every), causal)
+        covered = [bucketed, pattern, complete, graph_union(bucketed, pattern),
+                   graph_union(pattern, bucketed), graph_union(complete, pattern)]
+        write_graph(bucketed, tmp_path / "g.txt")
+        mask = rng.random((n, n)) < 0.3
+        if causal:
+            mask &= np.tri(n, dtype=bool)
+        block_mask = np.tri(n // 4, dtype=bool) if causal else rng.random((n // 4, n // 4)) < 0.5
+        uncovered = [
+            distance_pairing(sm.Q[:, :3], sm.K[:, :3], 2.0, causal),
+            extract_graph(sm),
+            AttentionGraph.from_dense(mask, causal=causal),
+            read_graph(tmp_path / "g.txt"),
+            expand_blocks(AttentionGraph.from_dense(block_mask, causal=causal), 4, n, n),
+            bigbird_random_blocks(n, n, 3, block_size=4, seed=1, causal=causal),
+        ]
+        uncovered += [graph_union(a, b) for other in uncovered
+                      for a, b in ((other, bucketed), (pattern, other))]
+        for graphs, expected in ((covered, (1, 0)), (uncovered, (0, 1))):
+            for graph in graphs:
+                before = len(by_cover), len(by_rows)
+                sparse_attention_probs(sm, graph)
+                assert (len(by_cover) - before[0], len(by_rows) - before[1]) == expected
 
 
 class TestAuditOfTheCover:
@@ -329,3 +372,8 @@ class TestAuditOfTheCover:
         assert [f["head"] for f in failures] == [h for h, (n, _) in enumerate(AUDIT_HEADS)
                                                  if n > 1]
         assert all(f["check"] == "cover" and f["max_abs_diff"] > 1e-12 for f in failures)
+
+    def test_scores_each_head_through_the_cover_once(self, monkeypatch):
+        calls = _counting(monkeypatch, _kernels, "cover_candidates")
+        assert audit_sparse_attention(seed=2) == []
+        assert len(calls) == len(AUDIT_HEADS)

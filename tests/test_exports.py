@@ -6,8 +6,12 @@ own definition, by a package module other than ``__init__.py`` or by a
 module of ``perfbench/``.  The benchmark's trace binds some functions by
 name, so a string equal to the name counts as a reference.
 
-Likewise every module-level private function, class or constant of the
-package must be referenced by the package beyond its own definition.
+Every module-level public function or class of those modules must be
+referenced, beyond its own definition, by the same package modules or
+perfbench under the same rule, so a helper whose last caller is gone
+fails even when it was never exported.  Likewise every module-level
+private function, class or constant of the package must be referenced by
+the package beyond its own definition.
 """
 
 import ast
@@ -59,6 +63,19 @@ def test_every_export_is_used_outside_tests():
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     used = _referenced(modules + sorted((ROOT / "perfbench").glob("*.py")))
     assert sorted(_exported() - used) == []
+
+
+def test_every_public_definition_is_used_outside_tests():
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    statements = [(path.name, stmt) for path in modules
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    names = [_names_in(stmt) for _, stmt in statements]
+    names.append(_referenced(sorted((ROOT / "perfbench").glob("*.py"))))
+    unused = [f"{module}:{stmt.name}" for i, (module, stmt) in enumerate(statements)
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_")
+              and not any(stmt.name in used for j, used in enumerate(names) if j != i)]
+    assert unused == []
 
 
 def test_every_private_name_is_used_in_the_package():
