@@ -221,9 +221,9 @@ def audit_sparse_attention(seed: int = 0, alpha: float = 1.5):
             buckets_to_graph(BucketAssignment(mq), BucketAssignment(mk), causal=causal),
             PatternConfig(window=5, global_tokens=(0,), causal=causal),
         )
+        by_cover = sparse_attention_probs(sm, bucketed, params)  # before its edges are built
         by_rows = sparse_attention_probs(
             sm, AttentionGraph._from_sorted_lin(n, n, bucketed._lin, causal), params)
-        by_cover = sparse_attention_probs(sm, bucketed, params)
         checks.append(("cover", np.max(np.abs(by_cover - by_rows)), 1e-12))
         for check, diff, tol in checks:
             if not diff <= tol:

@@ -8,6 +8,7 @@ admit edges with j <= i and use n(n+1)/2 as the sparsity denominator.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +22,12 @@ def _frozen(a, dtype=np.float64):
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _frozen_lin(lin):
+    lin = np.asarray(lin, dtype=np.int64)
+    lin.setflags(write=False)
+    return lin
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ def _graph_shape(n, m, causal):
 class AttentionGraph:
     """Immutable edge set between n queries and m keys.
 
-    Edges are stored in ``_lin`` as row-major linear indices ``i * m + j``,
+    ``_lin`` holds the edges as row-major linear indices ``i * m + j``,
     sorted and unique, so that iteration order, metrics, and file output
     are reproducible.  ``__init__`` accepts any edge list (duplicates and
     any order) and establishes that invariant with ``np.unique``; the
@@ -94,9 +101,15 @@ class AttentionGraph:
     ``window_global_graph`` and ``graph_union`` set it, so that
     ``sparse_attention_probs`` can score a predicted graph by blocks;
     equality and file I/O ignore it.
+
+    A graph from ``buckets_to_graph``, or the ``graph_union`` of two graphs
+    that both have a cover, builds its edge list on the first read of
+    ``_lin``: ``edges``, ``edge_count``, equality, the metrics, file output
+    and pickling all force it, and ``sparse_attention_probs`` never does.
+    Every other graph is built with its edges.
     """
 
-    __slots__ = ("n", "m", "causal", "_lin", "_cover")
+    __slots__ = ("n", "m", "causal", "_lin_or_build", "_cover")
 
     def __init__(self, n, m, edges=(), causal=False):
         n, m = _graph_shape(n, m, causal)
@@ -112,23 +125,33 @@ class AttentionGraph:
         self.n = n
         self.m = m
         self.causal = bool(causal)
-        lin = np.unique(e[:, 0] * m + e[:, 1])
-        lin.setflags(write=False)
-        self._lin = lin
+        self._lin_or_build = _frozen_lin(np.unique(e[:, 0] * m + e[:, 1]))
         self._cover = None
 
     @classmethod
     def _from_sorted_lin(cls, n, m, lin, causal, cover=None):
         """Graph over linear indices ``lin`` that the caller guarantees to be
         in range, sorted and unique, and covered exactly by ``cover``
-        (unchecked)."""
+        (unchecked).  ``lin`` may be a function returning them instead; with
+        a cover it runs on the first read of ``_lin``, without one at once."""
         g = cls.__new__(cls)
         g.n, g.m, g.causal = n, m, bool(causal)
-        lin = np.asarray(lin, dtype=np.int64)
-        lin.setflags(write=False)
-        g._lin = lin
+        if callable(lin) and cover is None:
+            lin = lin()
+        g._lin_or_build = lin if callable(lin) else _frozen_lin(lin)
         g._cover = cover
         return g
+
+    @property
+    def _lin(self) -> np.ndarray:
+        lin = self._lin_or_build
+        if callable(lin):  # built once; the builder and its operands are dropped
+            lin = self._lin_or_build = _frozen_lin(lin())
+        return lin
+
+    def __reduce__(self):
+        # a builder may be a closure, which does not pickle: send the edges
+        return type(self)._from_sorted_lin, (self.n, self.m, self._lin, self.causal, self._cover)
 
     @classmethod
     def from_dense(cls, dense, causal=False):
@@ -184,15 +207,21 @@ def _ranges(starts, lengths):
 
 
 def _row_block_graph(n, m, causal, rule, cover=None) -> AttentionGraph:
-    """Graph of the cells where ``rule(r0, r1, c1)`` holds.
+    """Graph of the cells where ``rule(r0, r1, c1)`` holds (``_row_block_lin``);
+    ``cover`` becomes the graph's cover."""
+    n, m = _graph_shape(n, m, causal)
+    return AttentionGraph._from_sorted_lin(
+        n, m, partial(_row_block_lin, n, m, causal, rule), causal, cover)
+
+
+def _row_block_lin(n, m, causal, rule) -> np.ndarray:
+    """Sorted linear indices of the cells where ``rule(r0, r1, c1)`` holds.
 
     ``rule`` returns a fresh boolean block over queries r0..r1-1 and keys
     0..c1-1.  Blocks hold at most ``_kernels._BATCH_CELLS`` cells, a causal
     block stops at its last row's diagonal and is cut to the lower
     triangle, and row-major ``flatnonzero`` keeps the edges sorted.
-    ``cover`` becomes the graph's cover.
     """
-    n, m = _graph_shape(n, m, causal)
     step = max(1, _kernels._BATCH_CELLS // m)
     parts = []
     for r0 in range(0, n, step):
@@ -203,8 +232,7 @@ def _row_block_graph(n, m, causal, rule, cover=None) -> AttentionGraph:
             block &= np.tri(r1 - r0, c1, r0, dtype=bool)
         flat = np.flatnonzero(block)
         parts.append(flat + r0 * m if c1 == m else (flat // c1 + r0) * m + flat % c1)
-    lin = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return AttentionGraph._from_sorted_lin(n, m, lin, causal, cover)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def admissible_count(n: int, m: int, causal: bool) -> int:
@@ -272,9 +300,9 @@ def graph_union(a: AttentionGraph, b: AttentionGraph) -> AttentionGraph:
     The union is covered by both covers together when both graphs have one,
     ``b``'s pieces last."""
     _check_same_shape(a, b)
-    lin = _merge_sorted(a._lin, b._lin)
     cover = None if a._cover is None or b._cover is None else a._cover + b._cover
-    return AttentionGraph._from_sorted_lin(a.n, a.m, lin, a.causal, cover)
+    return AttentionGraph._from_sorted_lin(
+        a.n, a.m, lambda: _merge_sorted(a._lin, b._lin), a.causal, cover)
 
 
 def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

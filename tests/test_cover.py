@@ -9,6 +9,8 @@ and keep exactly those that reach the entmax bound; and the probabilities
 must match the per-row path.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,7 @@ from sparseattn import (
     window_global_graph,
     write_graph,
 )
+from sparseattn import graph as graph_module
 from sparseattn.blocks import AUDIT_HEADS
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -196,10 +199,6 @@ class _CountingGraph(AttentionGraph):
     def _lin(self):
         self.reads += 1
         return AttentionGraph._lin.__get__(self)
-
-    @_lin.setter
-    def _lin(self, lin):
-        AttentionGraph._lin.__set__(self, lin)
 
 
 class TestCandidates:
@@ -377,3 +376,115 @@ class TestAuditOfTheCover:
         calls = _counting(monkeypatch, _kernels, "cover_candidates")
         assert audit_sparse_attention(seed=2) == []
         assert len(calls) == len(AUDIT_HEADS)
+
+    def test_scores_the_cover_before_the_edges_are_built(self, monkeypatch):
+        # per head: the gold graph's rows, the cover call on the lazy
+        # bucket-plus-window graph, then its edges for the per-row copy
+        events = []
+        for module, name in ((graph_module, "_row_block_lin"), (_kernels, "cover_candidates")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, name=name: events.append(name) or real(*a))
+        assert audit_sparse_attention(seed=2) == []
+        assert events == ["_row_block_lin", "cover_candidates", "_row_block_lin"] * len(AUDIT_HEADS)
+
+
+def _same_cover(a, b):
+    return a is b is None or (len(a) == len(b) and all(
+        x[0] == y[0] and all(np.array_equal(u, v) for u, v in zip(x[1:], y[1:]))
+        for x, y in zip(a, b)))
+
+
+@st.composite
+def lazy_cases(draw):
+    """Memberships with k of B buckets per token, then one bucket emptied
+    and one query and one key put in no bucket, and a pattern."""
+    causal = draw(st.booleans())
+    n = draw(st.integers(1, 30))
+    m = n if causal else draw(st.integers(1, 30))
+    B = draw(st.integers(1, 6))
+    k = draw(st.integers(1, B))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    empty = draw(st.integers(0, B - 1))
+
+    def members(tokens):
+        member = np.zeros((tokens, B), dtype=bool)
+        np.put_along_axis(member, np.argsort(rng.random((tokens, B)), axis=1)[:, :k], True, 1)
+        member[:, empty] = False
+        member[draw(st.integers(0, tokens - 1))] = False
+        return member
+
+    return members(n), members(m), draw(patterns(n, m, causal))
+
+
+class TestLazyEdges:
+    """A graph with a cover from ``buckets_to_graph`` or ``graph_union``
+    builds its edge list on the first read of ``_lin``, once."""
+
+    def test_the_predicted_call_builds_no_edge_list(self, monkeypatch):
+        rows = _counting(monkeypatch, graph_module, "_row_block_lin")
+        merges = _counting(monkeypatch, graph_module, "_merge_sorted")
+        rng = np.random.default_rng(8)
+        for causal in (False, True):
+            sm = ScoreMatrix(*_qk(rng, 50, 50), causal=causal)
+            qa, ka = cluster_qk(sm.Q, sm.K, Centroids(rng.normal(size=(6, 8))), 2)
+            pc = PatternConfig(window=5, global_tokens=(0, 7), causal=causal)
+            graph = combine_with_patterns(buckets_to_graph(qa, ka, causal), pc)
+            P = sparse_attention_probs(sm, graph)
+            assert (len(rows), len(merges)) == (0, 0)
+            assert callable(graph._lin_or_build)
+            lin = graph._lin
+            assert (len(rows), len(merges)) == (1, 1)
+            assert not P[~graph.to_dense()].any()
+            # a second read returns the same frozen array; the builder is gone
+            assert graph._lin is lin and graph.edge_count == lin.size
+            assert not lin.flags.writeable and lin.dtype == np.int64
+            assert graph._lin_or_build is lin
+            assert (len(rows), len(merges)) == (1, 1)
+            rows.clear()
+            merges.clear()
+
+    @SETTINGS
+    @given(lazy_cases())
+    def test_edges_equal_the_eager_build(self, case):
+        # the shared-bucket rule, the band and the global rows and columns,
+        # cell by cell, against the edges built on first read
+        q, k, pc = case
+        n, m, causal = q.shape[0], k.shape[0], pc.causal
+        learned = buckets_to_graph(BucketAssignment(q), BucketAssignment(k), causal)
+        graph = combine_with_patterns(learned, pc)
+        assert callable(graph._lin_or_build) and callable(learned._lin_or_build)
+        shared = (q[:, None, :] & k[None, :, :]).any(axis=2)
+        i, j = np.indices((n, m))
+        band = (np.abs(j - i) <= pc.window // 2) if pc.window else np.zeros((n, m), dtype=bool)
+        glob = np.zeros((n, m), dtype=bool)
+        for t in pc.global_tokens:
+            glob[t] = True
+            glob[:, t:t + 1] = True
+        admissible = np.tri(n, m, dtype=bool) if causal else np.ones((n, m), dtype=bool)
+        for lazy, dense in ((graph, shared | band | glob), (learned, shared)):
+            eager = AttentionGraph.from_dense(dense & admissible, causal=causal)
+            assert lazy._lin.dtype == np.int64 and not lazy._lin.flags.writeable
+            assert np.array_equal(lazy._lin, eager._lin)
+            assert lazy == eager
+
+    def test_pickle_round_trip(self, tmp_path):
+        rng = np.random.default_rng(9)
+        sm = ScoreMatrix(*_qk(rng, 20, 20))
+        q, k = rng.random((20, 4)) < 0.3, rng.random((20, 4)) < 0.3
+        pc = PatternConfig(window=3, global_tokens=(2,))
+        write_graph(extract_graph(sm), tmp_path / "g.txt")
+        graphs = [
+            buckets_to_graph(BucketAssignment(q), BucketAssignment(k)),
+            combine_with_patterns(buckets_to_graph(BucketAssignment(q), BucketAssignment(k)), pc),
+            window_global_graph(20, 20, pc),
+            extract_graph(sm),
+            read_graph(tmp_path / "g.txt"),
+        ]
+        for graph in graphs:
+            copy = pickle.loads(pickle.dumps(graph))
+            assert not callable(graph._lin_or_build)  # pickling forced the edges
+            assert type(copy) is AttentionGraph and copy == graph
+            assert not copy._lin.flags.writeable
+            assert _same_cover(copy._cover, graph._cover)
+        assert [g._cover is None for g in graphs] == [False, False, False, True, True]
