@@ -29,17 +29,13 @@ def backend() -> str:
 #
 # One padded solver serves every entry point and every alpha: rows padded
 # with -inf are shifted by their max and solved together.  alpha = 1 is
-# softmax; alpha = 1.5 and 2 have exact sort-based solvers whose sorts and
-# running sums run along axis 1, so each row is summed in the same order as
-# a lone vector; any other alpha bisects on tau for all rows at once.
+# softmax; alpha = 1.5 and 2 have exact sort-based solvers; any other alpha
+# is solved exactly by Newton's method for all rows at once.  The sorts and
+# running sums of the exact solvers run along axis 1, so each row is summed
+# in the same order as a lone vector.
 
 # Cap on the padded cells solved at once (about 512 KB per float64 temporary).
 _BATCH_CELLS = 1 << 16
-
-# Bisection stops for a row once its normalisation sum is within
-# _BISECT_TOL of 1, and for every row after _BISECT_MAX_ITER halvings.
-_BISECT_TOL = 1e-9
-_BISECT_MAX_ITER = 100
 
 
 def solve_rows(S, alpha):
@@ -49,7 +45,10 @@ def solve_rows(S, alpha):
     never join the support.  A row with no finite cell gets P = 0 and an
     undefined tau.  ``tau`` is in the unshifted score domain:
     P_ij = [(alpha - 1) S_ij - tau_i]_+ ** (1 / (alpha - 1)), and for
-    alpha = 1 (softmax) P_ij = exp(S_ij - tau_i).
+    alpha = 1 (softmax) P_ij = exp(S_ij - tau_i).  Above alpha 2 that
+    holds in exact arithmetic, and P_ij > 0 exactly where
+    (alpha - 1) S_ij > tau_i, but P is not computed from the rounded tau
+    (see ``_newton_rows``).
     """
     zmax = S.max(axis=1)
     zmax[zmax == -np.inf] = 0.0  # an all-padding row would shift to nan
@@ -63,7 +62,7 @@ def solve_rows(S, alpha):
     elif alpha == 2.0:
         P, tau = _sparsemax_rows(s)
     else:
-        P, tau = _bisect_rows(s, 1.0 / (alpha - 1.0))
+        P, tau = _newton_rows(s, 1.0 / (alpha - 1.0))
     return P, tau + (alpha - 1.0) * zmax
 
 
@@ -153,37 +152,152 @@ def _sparsemax_rows(s):
     return s, tau
 
 
-def _bisect_rows(s, power):
-    """alpha-entmax of rows s = (alpha - 1)(z - max z) by bisection on tau
-    over [-1, 0], where each row's normalisation sum crosses 1.  A row
-    stops once its sum is within _BISECT_TOL of 1; the rest keep halving."""
-    tau = np.zeros(s.shape[0])
+def _newton_rows(s, power):
+    """alpha-entmax of rows s = (alpha - 1)(z - max z), with power =
+    1 / (alpha - 1), by Newton's method: on the threshold for power >= 1
+    (``_convex_tau``), on the smallest probability of the support for
+    power < 1 (``_support_newton``).
+
+    Only the cells with s_j > -1 can pass a threshold, which lies in
+    [-1, 0); each row's are sorted in decreasing order, padded with -inf,
+    and summed one at a time along the row, so padding, which adds exact
+    zeros, changes no bit of a row's result.
+
+    For power < 1 a cell just above tau carries much of the mass (at alpha
+    10, 0.1 from a margin of 1e-9), more than a rounded tau can place, so P
+    is computed from the smallest support cell, base, its probability u and
+    its exact margin delta = u ** (1 / power): P_j = (s_j - base + delta) **
+    power on the support, u itself at base, summing to 1.
+    """
+    n = s.shape[0]
     rows = np.flatnonzero(s.max(axis=1) == 0.0)  # all but all-padding rows
-    live = s[rows]
-    lo = np.full(rows.size, -1.0)
-    hi = np.zeros(rows.size)
-    for _ in range(_BISECT_MAX_ITER):
-        if not rows.size:
-            break
-        mid = 0.5 * (lo + hi)
-        t = live - mid[:, None]
-        np.maximum(t, 0.0, out=t)
-        t **= power
-        f = t.sum(axis=1)
-        f -= 1.0
-        up = f > 0.0
-        np.copyto(lo, mid, where=up)
-        np.copyto(hi, mid, where=~up)
-        done = np.abs(f, out=f) <= _BISECT_TOL
-        if np.count_nonzero(done):
-            tau[rows[done]] = mid[done]
-            keep = ~done
-            rows, live, lo, hi = rows[keep], live[keep], lo[keep], hi[keep]
-    tau[rows] = 0.5 * (lo + hi)
-    s -= tau[:, None]
-    np.maximum(s, 0.0, out=s)
+    tau, base, u = np.zeros(n), np.zeros(n), np.zeros(n)
+    if rows.size:
+        live = s[rows]
+        cand = live > -1.0
+        counts = np.count_nonzero(cand, axis=1)
+        T = np.full((rows.size, counts.max()), -np.inf)
+        T[np.arange(T.shape[1]) < counts[:, None]] = live[cand]
+        T[:, ::-1].sort(axis=1)
+        if power >= 1.0:
+            tau[rows] = _convex_tau(T, power)
+        else:
+            base[rows], u[rows], tau[rows] = _support_newton(T, counts, power)
+    if power >= 1.0:
+        s -= tau[:, None]
+        np.maximum(s, 0.0, out=s)
+        s **= power
+        return s, tau
+    at_base = s == base[:, None]
+    outside = s < base[:, None]
+    s -= base[:, None]
+    s += (u ** (1.0 / power))[:, None]
+    s[outside] = 0.0
     s **= power
+    np.copyto(s, u[:, None], where=at_base)
     return s, tau
+
+
+def _convex_tau(T, power):
+    """The thresholds of decreasing candidate rows T (power >= 1).
+
+    f(tau) = sum_j [T_j - tau]_+ ** power - 1 is convex and decreasing, so
+    Newton's method from any tau with f(tau) >= 0 climbs to the root without
+    passing it, and a row stops once a step no longer raises its tau.  By
+    the power mean inequality, f >= 0 at -1 (the max cell alone gives 1) and
+    at every (sum of the k largest - k ** (1 - 1 / power)) / k; the largest
+    of these is the start (at power 1 it is the sparsemax threshold).
+    """
+    k = np.arange(1.0, T.shape[1] + 1.0)
+    start = np.cumsum(np.where(T > -np.inf, T, 0.0), axis=1)
+    start -= k ** (1.0 - 1.0 / power)
+    start /= k
+    start[T == -np.inf] = -1.0
+    t = np.maximum(start.max(axis=1), -1.0)
+    tau = np.empty(T.shape[0])
+    rows = np.arange(T.shape[0])
+    while rows.size:
+        x = T - t[:, None]
+        np.maximum(x, 0.0, out=x)
+        if power > 1.0:
+            y = x ** (power - 1.0)
+        else:  # 0 ** 0 would count the cells at or below t
+            y = np.zeros_like(x)
+            np.power(x, power - 1.0, out=y, where=x > 0.0)
+        slope = np.cumsum(y, axis=1)[:, -1]
+        y *= x
+        f = np.cumsum(y, axis=1)[:, -1]
+        f -= 1.0
+        step = t + f / (power * slope)
+        done = step <= t
+        tau[rows[done]] = t[done]
+        keep = ~done
+        rows, T, t = rows[keep], T[keep], step[keep]
+    return tau
+
+
+def _support_newton(T, counts, power):
+    """(base, u, tau) of decreasing candidate rows T (power < 1): the
+    smallest support cell, its probability, and the threshold.
+
+    f(tau) = sum_j [T_j - tau]_+ ** power - 1 is not convex here, and its
+    slope is unbounded where tau meets a cell, so the support is found
+    first: f at T_k rises with k, and bisecting on k finds the last k with
+    f(T_k) < 0 (the cell below the row's last counts as -1, where f >= 0).
+    Cells 0..k are the support, base = T_k and tau lies in [T_k+1, T_k).
+    With d_j = T_j - base, tau = base - u ** (1 / power) where
+    h(u) = sum_(j <= k) (d_j + u ** (1 / power)) ** power - 1 = 0; a cell
+    at base (d_j = 0) adds u itself, which stays exact where u ** (1 /
+    power) underflows.  h is convex and increasing with slope >= 1, so
+    Newton's method from u = (T_k - T_k+1) ** power, where h >= 0, descends
+    to the root without passing it, and a row stops once a step no longer
+    lowers its u.
+    """
+    R, w = T.shape
+    r = np.arange(R)
+    lo, hi = np.zeros(R, dtype=np.int64), counts.copy()  # f(T_lo) < 0 <= f(T_hi)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2  # lo where the bracket is closed
+        x = T - T[r, mid][:, None]
+        np.maximum(x, 0.0, out=x)
+        x **= power
+        below = np.cumsum(x, axis=1)[:, -1] < 1.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    base = T[r, lo]
+    floor = np.where(hi < counts, T[r, np.minimum(hi, w - 1)], -1.0)
+    support = np.arange(w) <= lo[:, None]
+    d = np.where(support, T - base[:, None], 0.0)
+    above = support & (d > 0.0)
+    at_base = support & (d == 0.0)
+    q = 1.0 / power
+    u_out = np.empty(R)
+    u = (base - floor) ** power
+    while r.size:
+        v = u ** q
+        a = d + v[:, None]
+        y = np.zeros_like(a)
+        np.power(a, power - 1.0, out=y, where=above)  # (d_j + v) ** (power - 1)
+        terms = y * a
+        np.copyto(terms, u[:, None], where=at_base)
+        h = np.cumsum(terms, axis=1)[:, -1] - 1.0
+        y *= (v / u)[:, None]  # dh/du of a cell above base; 1 at base
+        np.copyto(y, 1.0, where=at_base)
+        step = u - h / np.cumsum(y, axis=1)[:, -1]
+        done = step >= u
+        u_out[r[done]] = u[done]
+        # a step to 0 or below: the root is within rounding of 0, so the
+        # cells at base get nothing
+        low = ~done & (step <= 0.0)
+        u_out[r[low]] = 0.0
+        keep = ~done & ~low
+        r, d, above, at_base, u = r[keep], d[keep], above[keep], at_base[keep], step[keep]
+    delta = u_out ** q
+    # tau rounded into [floor, base), or base itself where its cells get
+    # nothing: cells below base stay out of the support and cells at base
+    # stay in it, however close the threshold lies
+    top = np.where(u_out > 0.0, np.nextafter(base, -np.inf), base)
+    return base, u_out, np.clip(base - delta, floor, top)
 
 
 def entmax15_masked_rows(Z, valid, alpha):

@@ -51,6 +51,18 @@ def read_rows(path, fields, shape, keyword=None, dtype=np.float64):
     n, c = shape(*header)
     if max(n, c) * np.dtype(dtype).itemsize >= 2**63:
         raise DataError(f"{path}:1: header field too large")
+    # One C-level parse of the whole body.  It skips blank lines and rejects
+    # some values the per-line path takes (``1_0``), so it is kept only when
+    # the body has n lines and parses to (n, c); otherwise the per-line path
+    # decides, and names the first bad line.  (A blank first line is a bad
+    # one, and would leave loadtxt warning of a body without data.)
+    if len(lines) - 1 == n and n and c and lines[1].strip():
+        try:
+            values = np.loadtxt(lines[1:], dtype=dtype, ndmin=2, comments=None)
+        except (ValueError, OverflowError):
+            values = None
+        if values is not None and values.shape == (n, c):
+            return header, values
     body = [line.split() for line in lines[1:]]
     if len(body) != n:
         raise DataError(f"{path}: header promises {n} rows, found {len(body)}")

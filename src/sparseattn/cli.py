@@ -12,6 +12,7 @@ violation detected by ``verify``.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -370,7 +371,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master RNG seed (default 0)")
     common.add_argument("--alpha", type=float, default=None, help="entmax alpha (default 1.5)")

@@ -3,8 +3,8 @@
 alpha-entmax maps a score vector z to probabilities
 ``[(alpha - 1) z - tau(z)]_+ ** (1 / (alpha - 1))`` where tau normalizes the
 result to the simplex.  alpha = 1 is softmax (dense), alpha = 2 is sparsemax,
-alpha = 1.5 and 2 have exact sort-based solvers, and any other alpha >= 1 is
-handled by bisection on tau.  A vector is solved as a one-row block of
+alpha = 1.5 and 2 have exact sort-based solvers, and any other alpha > 1 is
+solved exactly by Newton's method.  A vector is solved as a one-row block of
 ``_kernels.solve_rows``, the padded solver behind every attention path.
 Everything here is a pure function of its inputs and safe to call
 concurrently.
@@ -17,8 +17,9 @@ import numpy as np
 
 from . import _kernels
 
-# Entries above this count as support; exact solvers emit hard zeros but
-# bisection can leave dust.
+# Entries above this count as support.  Every solver gives exact zeros
+# outside the support, so the floor only drops support entries at or below
+# it (ROADMAP item 2).
 SUPPORT_TOL = 1e-12
 
 

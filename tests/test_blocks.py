@@ -16,6 +16,7 @@ from sparseattn import (
     ScoreMatrix,
     attention_probs,
     audit_sparse_attention,
+    audit_sparse_consistency,
     bench_masked_attention,
     buckets_to_graph,
     chunk_labels,
@@ -459,6 +460,13 @@ class TestAudit:
     @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0, 3.0])
     def test_healthy_build_passes(self, alpha):
         assert audit_sparse_attention(seed=5, alpha=alpha) == []
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0, 6.0, 10.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_both_audits_pass_above_alpha_3(self, alpha, seed):
+        # ``sparseattn verify`` at these alphas: both of its audits
+        assert audit_sparse_consistency(trials=1000, seed=seed, alpha=alpha) == []
+        assert audit_sparse_attention(seed=seed, alpha=alpha) == []
 
     @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0, 3.0])
     def test_detects_a_wrong_sparse_kernel(self, monkeypatch, alpha):

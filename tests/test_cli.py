@@ -383,6 +383,18 @@ class TestExitCodes:
         assert cli.main(["verify", "--trials", "10"]) == 4
         assert "0/10 dominating-mask trials and 1/5 sparse-attention heads" in capsys.readouterr().out
 
+    def test_parser_is_built_once_and_keeps_no_values(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "audit_sparse_consistency",
+                            lambda trials, seed, alpha: seen.append((trials, seed, alpha)) or [])
+        monkeypatch.setattr(cli, "audit_sparse_attention", lambda seed, alpha: [])
+        assert cli.main(["verify", "--trials", "7", "--seed", "3", "--alpha", "1.25"]) == 0
+        assert cli.main(["verify", "--trials", "5"]) == 0
+        assert cli.main(["verify", "--alpha", "2"]) == 0
+        assert seen == [(7, 3, 1.25), (5, 0, 1.5), (1000, 0, 2.0)]
+        assert cli.build_parser() is cli.build_parser()
+        capsys.readouterr()
+
     def test_usage_error(self, capsys):
         assert cli.main(["no-such-command"]) == 2
         capsys.readouterr()

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sparseattn import (
     sparsity,
     write_tensor,
 )
+from sparseattn._textio import read_rows
 from sparseattn.errors import ConfigError
 
 
@@ -203,6 +205,83 @@ def test_reader_loads_or_raises_data_error(reader, data):
             reader(path)
         except DataError:
             pass
+
+
+# ``read_rows`` parses a body with one ``np.loadtxt`` and keeps that parse only
+# when it has the promised shape; otherwise its per-line path decides.  The
+# two must read every file alike: the same array bits, or the same DataError.
+_CELL = st.sampled_from([
+    "0", "1", "-2", "+3", "007", "-0", "1.5", ".5", "5.", "1e5", "1E-3", "1e999", "1.0",
+    "1_0", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "x", "0x10", "#1",
+    "99999999999999999999",
+])
+_GAP = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1f"])
+
+
+@st.composite
+def _body_file(draw):
+    """A header 'n c' and n body lines: rows of c cells, some with a cell
+    more or less, blank and whitespace-only lines among them."""
+    cols = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        width = max(0, cols + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))
+        cells = [draw(_CELL) for _ in range(width)]
+        lines.append(draw(st.sampled_from(["", " "])) + "".join(c + draw(_GAP) for c in cells))
+    for _ in range(draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    rows = draw(st.sampled_from([len(lines), len(lines), len(lines) + 1]))
+    return f"{rows} {cols}\n" + "\n".join(lines) + "\n"
+
+
+def _read_rows(path, dtype):
+    try:
+        header, values = read_rows(path, ("n", "c"), lambda n, c: (n, c), dtype=dtype)
+    except DataError as exc:
+        return str(exc)
+    return header, values.dtype, values.shape, values.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_body_file())
+def test_read_rows_parses_like_the_per_line_path(dtype, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.txt")
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        got = _read_rows(path, dtype)
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            want = _read_rows(path, dtype)
+    assert got == want
+
+
+@pytest.mark.parametrize("text, dtype, expected", [
+    ("2 2\n1 2\n3 4\n", np.int64, [[1, 2], [3, 4]]),
+    ("1 2\n1_0 2\n", np.float64, [[10.0, 2.0]]),  # float() takes 1_0, loadtxt does not
+    ("1 2\n1_0 2\n", np.int64, [[10, 2]]),
+    ("1 2\n-nan inf\n", np.float64, [[-np.nan, np.inf]]),
+])
+def test_read_rows_values(tmp_path, text, dtype, expected):
+    path = tmp_path / "rows.txt"
+    path.write_text(text)
+    _, values = read_rows(path, ("n", "c"), lambda n, c: (n, c), dtype=dtype)
+    assert values.dtype == dtype
+    np.testing.assert_array_equal(values, expected)
+
+
+@pytest.mark.parametrize("text, dtype, message", [
+    ("2 2\n1 2\n\n3 4\n", np.float64, "header promises 2 rows, found 3"),  # blank line
+    ("2 2\n1 2\n  \n", np.float64, ":3: expected 2 values, found 0"),  # whitespace only
+    ("1 2\n1.0 2\n", np.int64, ":2: unparsable value"),
+    ("1 2\n1e5 2\n", np.int64, ":2: unparsable value"),
+    ("1 2\n1 2 3\n", np.float64, ":2: expected 2 values, found 3"),
+])
+def test_read_rows_errors(tmp_path, text, dtype, message):
+    path = tmp_path / "rows.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        read_rows(path, ("n", "c"), lambda n, c: (n, c), dtype=dtype)
 
 
 class TestManifest:

@@ -3,13 +3,14 @@
 ``solve_rows`` is the one solver behind every path, so each batched row is
 checked against an oracle for its alpha: the scalar-loop sort formulas at
 alpha 1.5 and 2 (``np.array_equal``), a one-row ``entmax`` call and
-``oracles.entmax_bisect`` for the bisection alphas, and ``oracles.softmax``
+``oracles.entmax_bisect`` for the Newton alphas, and ``oracles.softmax``
 at alpha 1.  Row lengths of 2**k and 2**k + 1 set the padded width of a
 batch on either side of a power of two and of the 32-cell prefix; a
 patched ``_BATCH_CELLS`` puts chunk boundaries inside small inputs, and a
 few inputs exceed the real cap.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -38,7 +39,6 @@ def _assert_row(p, z, alpha):
         assert np.all(np.abs(p - q) <= 1e-15 * q)
     else:
         assert np.array_equal(p, entmax(z, EntmaxParams(alpha=alpha)))
-        # a stopped bisection is off by at most its 1e-9 sum tolerance
         assert np.max(np.abs(p - entmax_bisect(z, alpha=alpha, tol=0.0)[0])) <= 1e-9
 
 
@@ -315,6 +315,123 @@ def test_cells_below_the_bound_are_never_solved(alpha):
                                indptr, cells, a)):
         _candidate_solve(S, alpha)
     assert [list(cells) for cells in seen] == [[0.0, bound]]
+
+
+# ---------------------------------------------------------------------------
+# The Newton solver (every alpha but 1, 1.5 and 2).  A threshold tau and
+# probabilities that are 0 exactly where s <= tau, [s - tau]_+ ** (1 / (alpha
+# - 1)) elsewhere, and sum to 1 satisfy the conditions that define
+# alpha-entmax, whose solution is unique; so these checks pin every row down
+# without an oracle.  The oracle checks come on top: P against bisection
+# below alpha 2, and tau above it, where a cell just above tau carries much
+# of the mass and bisection's P = [s - tau]_+ ** (1 / (alpha - 1)) at its
+# float tau misses a sum of 1 by up to 2e-2 at alpha 10.
+
+NEWTON_ALPHAS = st.one_of(st.floats(1.01, 2.0, exclude_max=True),
+                          st.floats(2.0, 10.0, exclude_min=True)).filter(lambda a: a != 1.5)
+
+
+def _shifted(S, alpha):
+    """``solve_rows``' shifted rows s = (alpha - 1)(S - max S)."""
+    zmax = S.max(axis=1)
+    zmax[zmax == -np.inf] = 0.0
+    s = S - zmax[:, None]
+    s *= alpha - 1.0
+    return s
+
+
+def _assert_exact(s, alpha):
+    """Solve the shifted rows s by Newton and check the result row by row."""
+    power = 1.0 / (alpha - 1.0)
+    P, tau = _kernels._newton_rows(s.copy(), power)
+    assert np.all(P >= 0.0) and not P[s == -np.inf].any()
+    for i in np.flatnonzero((s > -np.inf).any(axis=1)):
+        p, row, t = P[i], s[i], tau[i]
+        assert abs(math.fsum(p) - 1.0) <= 1e-12
+        # 0 exactly where s <= tau; above tau, 0 only where the power underflows
+        assert np.array_equal(p > 0.0, (row > t) & (np.maximum(row - t, 0.0) ** power > 0.0))
+        finite = row > -np.inf
+        p_bis, t_bis = entmax_bisect(row[finite] / (alpha - 1.0), alpha=alpha, tol=0.0)
+        assert abs(t - t_bis) <= 1e-9
+        if alpha < 2.0:
+            assert np.max(np.abs(p[finite] - p_bis)) <= 1e-9
+    return P, tau
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 8),
+    width=st.integers(1, 300),
+    alpha=NEWTON_ALPHAS,
+    kind=st.sampled_from(["normal", "integers", "padded", "causal", "at-tau"]),
+    spread=st.floats(0.05, 20.0),
+)
+def test_newton_solve_is_exact(seed, rows, width, alpha, kind, spread):
+    """Rows with -inf padding, causal triangles, integer rows that tie cells
+    at the max, and rows with cells set to their own threshold."""
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(rows, width)) * spread
+    if kind == "integers":
+        S = np.round(S)
+    elif kind == "padded":
+        S[rng.random(S.shape) < rng.random((rows, 1))] = -np.inf
+    elif kind == "causal":
+        S[~np.tri(rows, width, dtype=bool)] = -np.inf
+    s = _shifted(S, alpha)
+    P, tau = _assert_exact(s, alpha)
+    assert np.array_equal(P, _kernels.solve_rows(S, alpha)[0])
+    if kind == "at-tau":  # zero-probability cells moved onto the threshold
+        ties = (P == 0.0) & (rng.random(P.shape) < 0.5)
+        s[ties] = np.broadcast_to(tau[:, None], s.shape)[ties]
+        P2, _ = _assert_exact(s, alpha)
+        if alpha < 2.0:  # the ties still carry (next to) nothing
+            assert np.max(np.abs(P2 - P)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.25, 3.0, 10.0])
+def test_newton_solve_with_cells_tied_at_the_threshold(alpha):
+    # s = [0, -1, -1, ...]: the max cell alone has probability 1 at tau = -1,
+    # where every other cell ties
+    s = np.full((1, 40), -1.0)
+    s[0, 0] = 0.0
+    P, tau = _assert_exact(s, alpha)
+    assert np.array_equal(P, np.eye(1, 40)) and tau[0] == -1.0
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.25, 3.0, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("k", [1, 2, 7, 300])
+def test_newton_solve_of_tied_rows(alpha, k):
+    # k cells tied at the max share the mass evenly
+    s = np.full((1, k + 3), -np.inf)
+    s[0, :k] = 0.0
+    P, _ = _assert_exact(s, alpha)
+    np.testing.assert_allclose(P[0, :k], 1.0 / k, rtol=1e-12)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 8),
+    width=st.integers(1, 300),
+    ties=st.booleans(),
+    spread=st.floats(0.05, 20.0),
+)
+def test_newton_solve_matches_the_sorted_solvers(seed, rows, width, ties, spread):
+    """Called directly at alpha 1.5 and 2, the Newton path agrees with the
+    sort-based solvers those alphas use."""
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(rows, width)) * spread
+    S[rng.random(S.shape) < 0.3] = -np.inf
+    if ties:
+        S = np.round(S)
+    for alpha, sorted_rows in ((1.5, _kernels._entmax15_rows), (2.0, _kernels._sparsemax_rows)):
+        s = _shifted(S, alpha)
+        P, tau = _kernels._newton_rows(s.copy(), 1.0 / (alpha - 1.0))
+        P_ref, tau_ref = sorted_rows(s.copy())
+        assert np.max(np.abs(P - P_ref)) <= 1e-12
+        real = (S > -np.inf).any(axis=1)
+        assert np.max(np.abs(tau - tau_ref)[real], initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2048, 1), (128, 128), (2048, 32)])
