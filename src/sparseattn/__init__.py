@@ -24,15 +24,7 @@ from .blocks import (
     write_bench_csv,
 )
 from .data import SyntheticSpec, generate_instances, load_qk, read_tensor, save_qk, write_tensor
-from .entmax import (
-    DEFAULT_PARAMS,
-    SUPPORT_TOL,
-    EntmaxParams,
-    audit_sparse_consistency,
-    entmax,
-    masked_entmax,
-    support,
-)
+from .entmax import DEFAULT_PARAMS, SUPPORT_TOL, EntmaxParams, entmax, masked_entmax
 from .errors import ConfigError, DataError
 from .graph import (
     AttentionGraph,

@@ -56,14 +56,18 @@ def solve_rows(S, alpha):
     if alpha == 1.0:
         P, tau = _softmax_rows(s)
         return P, tau + zmax
-    s *= alpha - 1.0
+    # at an alpha near the float maximum the product overflows to -inf, a
+    # cell that gets no probability, and tau below to +-inf
+    with np.errstate(over="ignore"):
+        s *= alpha - 1.0
     if alpha == 1.5:
         P, tau = _entmax15_rows(s)
     elif alpha == 2.0:
         P, tau = _sparsemax_rows(s)
     else:
         P, tau = _newton_rows(s, 1.0 / (alpha - 1.0))
-    return P, tau + (alpha - 1.0) * zmax
+    with np.errstate(over="ignore"):
+        return P, tau + (alpha - 1.0) * zmax
 
 
 def _softmax_rows(s):
@@ -405,7 +409,8 @@ def _reaches_bound(S, zmax, alpha):
     if alpha == 1.0:
         return S > -np.inf
     s = S - zmax
-    s *= alpha - 1.0
+    with np.errstate(over="ignore"):  # as in ``solve_rows``
+        s *= alpha - 1.0
     return s >= -1.0
 
 

@@ -187,7 +187,8 @@ AUDIT_HEADS = ((1, False), (37, False), (37, True), (512, False), (512, True))
 
 
 def audit_sparse_attention(seed: int = 0, alpha: float = 1.5):
-    """Sparse-consistency audit of the batched attention paths.
+    """Sparse-consistency audit of every path that solves attention rows,
+    the one behind ``sparseattn verify``.
 
     Each head of ``AUDIT_HEADS`` gets random scores drawn from ``seed`` and
     a graph covering its gold support plus random extra edges (a random
@@ -197,8 +198,10 @@ def audit_sparse_attention(seed: int = 0, alpha: float = 1.5):
     (random memberships with an empty bucket and tokens in no bucket, a
     window of 5 and global token 0) whose probabilities, scored through its
     cover, must equal those of a coverless copy of the same edges, scored
-    row by row, within 1e-12 (check ``"cover"``).  Returns one record per
-    failed check (empty on a healthy build).
+    row by row, within 1e-12 (check ``"cover"``).  So each of the heads'
+    rows is solved by the dense ``attention_probs``, the per-row CSR scorer
+    and the cover.  Returns one record per failed check (empty on a healthy
+    build).
     """
     params = EntmaxParams(alpha=alpha)
     rng = np.random.default_rng(seed)

@@ -1,13 +1,14 @@
-"""Exact alpha-entmax transformations and the sparse-consistency check.
+"""Exact alpha-entmax transformations.
 
 alpha-entmax maps a score vector z to probabilities
 ``[(alpha - 1) z - tau(z)]_+ ** (1 / (alpha - 1))`` where tau normalizes the
 result to the simplex.  alpha = 1 is softmax (dense), alpha = 2 is sparsemax,
 alpha = 1.5 and 2 have exact sort-based solvers, and any other alpha > 1 is
 solved exactly by Newton's method.  A vector is solved as a one-row block of
-``_kernels.solve_rows``, the padded solver behind every attention path.
-Everything here is a pure function of its inputs and safe to call
-concurrently.
+``_kernels.solve_rows``, the padded solver behind every attention path;
+``blocks.audit_sparse_attention`` checks the sparse-consistency property on
+every path that solves rows.  Everything here is a pure function of its
+inputs and safe to call concurrently.
 """
 
 import sys
@@ -72,45 +73,3 @@ def masked_entmax(z, mask, params: EntmaxParams = DEFAULT_PARAMS) -> np.ndarray:
     idx = np.flatnonzero(mask)
     p[idx] = entmax(z[idx], params)
     return p
-
-
-def support(p, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Boolean support indicator of a probability vector."""
-    return np.asarray(p) > tol
-
-
-def audit_sparse_consistency(
-    trials: int = 1000,
-    seed: int = 0,
-    alpha: float = 1.5,
-    min_len: int = 2,
-    max_len: int = 64,
-):
-    """Random audit of the sparse-consistency property.
-
-    Draws ``trials`` random score vectors, builds a random mask dominating
-    each support, and records every (seedable) case where the masked and
-    unmasked outputs disagree beyond 1e-9.  Returns the list of failures
-    (empty on a healthy build).  Each trial draws its length, scores and
-    mask bits in turn; the vectors are solved together as rows padded with
-    -inf, in blocks of at most ``_kernels._BATCH_CELLS`` cells.
-    """
-    alpha = EntmaxParams(alpha=alpha).alpha
-    rng = np.random.default_rng(seed)
-    failures = []
-    step = max(1, _kernels._BATCH_CELLS // max_len)
-    for first in range(0, trials, step):
-        Z = np.full((min(step, trials - first), max_len), -np.inf)
-        bits = np.zeros(Z.shape, dtype=bool)
-        for z, bit in zip(Z, bits):
-            n = int(rng.integers(min_len, max_len + 1))
-            z[:n] = rng.normal(0.0, np.sqrt(2.0), size=n)
-            bit[:n] = rng.random(n) < rng.random()
-        p_full = _kernels.solve_rows(Z, alpha)[0]
-        b = support(p_full)
-        extra = ~b & bits
-        p_masked = _kernels.solve_rows(np.where(b | extra, Z, -np.inf), alpha)[0]
-        for t in np.flatnonzero(np.max(np.abs(p_masked - p_full), axis=1) > 1e-9):
-            n = int(np.isfinite(Z[t]).sum())
-            failures.append({"trial": first + int(t), "n": n, "extra_bits": int(extra[t].sum())})
-    return failures

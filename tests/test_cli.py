@@ -1,6 +1,5 @@
 import json
 import os
-import re
 
 import numpy as np
 import pytest
@@ -127,7 +126,7 @@ class TestPipeline:
         records = read_sweep_csv(os.path.join(out, "sweep.csv"))
         assert {r.method for r in records} == {"window", "longformer"}
 
-    def test_bench_and_verify(self, exp, tmp_path):
+    def test_bench_and_verify(self, exp, tmp_path, capsys):
         _, _, out, base = exp
         bench_cfg = tmp_path / "bench.json"
         bench_cfg.write_text(json.dumps({
@@ -138,7 +137,10 @@ class TestPipeline:
         lines = open(os.path.join(out, "bench.csv")).read().splitlines()
         assert lines[0].startswith("variant,n,d,z,top_k,window,median_ms")
         assert len(lines) == 3  # header + dense + v1
-        assert cli.main(["verify", "--trials", "50", "--seed", "2", "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--seed", "2", "--out", out]) == 0
+        assert capsys.readouterr().out == (
+            "verify: OK: 5 sparse-attention heads (1,099 rows), zero violations\n")
 
 
 class TestExitCodes:
@@ -310,8 +312,6 @@ class TestExitCodes:
         ([], {"grids": {"quantization": {"beta": ["2"]}}}),
         ([], {"grids": {"quantization": {"beta": [2, 2]}}}),
         ([], {"windows": [3, 3]}),
-        ([], {"trials": -1}),
-        ([], {"trials": 0}),
         ([], {"kmeans_sample": -1}),
         ([], {"seed": 1.5}),
         ([], {"workers": "2"}),
@@ -322,7 +322,7 @@ class TestExitCodes:
             "unknown-key", "string-for-bool", "float-for-int", "integral-float-for-int",
             "float-size", "bool-for-number", "empty-list", "repeated-list-element",
             "fractional-grid-int", "string-grid-int", "repeated-grid-value", "repeated-window",
-            "negative-trials", "zero-trials", "negative-kmeans-sample",
+            "negative-kmeans-sample",
             "fractional-seed", "string-workers", "repeated-method", "clustering-k-above-B"])
     def test_invalid_sweep_setting_rejected_before_any_work(self, exp, monkeypatch, extra, setting):
         tmp_path, cfg_path, out, _ = exp
@@ -359,7 +359,7 @@ class TestExitCodes:
             raise AssertionError(f"{cmd} started work before rejecting the config")
 
         for name in ("load_qk", "generate_instances", "bench_masked_attention",
-                     "audit_sparse_consistency"):
+                     "audit_sparse_attention"):
             monkeypatch.setattr(cli, name, no_work)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(setting))
@@ -367,31 +367,36 @@ class TestExitCodes:
         assert cli.main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_verify_reports_violations_with_exit_4(self, monkeypatch):
-        monkeypatch.setattr(
-            cli, "audit_sparse_consistency",
-            lambda trials, seed, alpha: [{"trial": 0, "n": 4, "extra_bits": 1}],
-        )
-        assert cli.main(["verify", "--trials", "10"]) == 4
+    def test_verify_trials_flag_is_gone(self, tmp_path, capsys):
+        assert cli.main(["verify", "--trials", "5", "--out", str(tmp_path / "o")]) == 2
+        assert "--trials" in capsys.readouterr().err
 
-    def test_verify_reports_sparse_attention_violations_with_exit_4(self, monkeypatch, capsys):
+    def test_trials_config_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"trials": 5}))
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config key 'trials'" in capsys.readouterr().err
+
+    def test_verify_reports_sparse_attention_violations_with_exit_4(self, tmp_path, monkeypatch,
+                                                                     capsys):
         monkeypatch.setattr(
             cli, "audit_sparse_attention",
             lambda seed, alpha: [{"head": 3, "n": 512, "causal": False, "check": "cover",
                                   "max_abs_diff": 0.5}],
         )
-        assert cli.main(["verify", "--trials", "10"]) == 4
-        assert "0/10 dominating-mask trials and 1/5 sparse-attention heads" in capsys.readouterr().out
+        assert cli.main(["verify", "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "verify: FAIL: 1/5 sparse-attention heads violate sparse consistency",
+            "  head 3 (cover): n=512 causal=False max diff 0.5"]
 
     def test_parser_is_built_once_and_keeps_no_values(self, monkeypatch, capsys):
         seen = []
-        monkeypatch.setattr(cli, "audit_sparse_consistency",
-                            lambda trials, seed, alpha: seen.append((trials, seed, alpha)) or [])
-        monkeypatch.setattr(cli, "audit_sparse_attention", lambda seed, alpha: [])
-        assert cli.main(["verify", "--trials", "7", "--seed", "3", "--alpha", "1.25"]) == 0
-        assert cli.main(["verify", "--trials", "5"]) == 0
+        monkeypatch.setattr(cli, "audit_sparse_attention",
+                            lambda seed, alpha: seen.append((seed, alpha)) or [])
+        assert cli.main(["verify", "--seed", "3", "--alpha", "1.25"]) == 0
+        assert cli.main(["verify"]) == 0
         assert cli.main(["verify", "--alpha", "2"]) == 0
-        assert seen == [(7, 3, 1.25), (5, 0, 1.5), (1000, 0, 2.0)]
+        assert seen == [(3, 1.25), (0, 1.5), (0, 2.0)]
         assert cli.build_parser() is cli.build_parser()
         capsys.readouterr()
 
@@ -433,10 +438,3 @@ class TestConfigKeys:
             "window", "distance", "quantization", "clustering", "routing", "lsh", "bigbird",
             "longformer"])
         assert cli.KEYS["B_list"][1] == (2, 4, 6, 8, 10, 12, 16, 20)
-
-    def test_readme_table_lists_every_key(self):
-        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            names = re.findall(r"^\| `(\w+)` \|", fh.read(), flags=re.MULTILINE)
-        assert sorted(names) == sorted(cli.KEYS)
-        assert len(names) == len(set(names))
